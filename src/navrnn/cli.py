@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
-from .errors import ConfigError, DataError, NavError, TrainingDivergedError
+from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError
 from .flightlog import read_flight_log
 
 log = logging.getLogger("navrnn")
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
+    except (DataError, ValidationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, NavError) as exc:

@@ -7,17 +7,23 @@ exponential map; debiased delta velocities are rotated into NED, gravity is
 added, and position integrates the trapezoidal mean of old and new velocity.
 Without aiding this diverges quickly on low-cost sensors, which is exactly
 what makes it the reference baseline.
+
+Attitude is the only true recursion, so it alone runs as a per-sample loop,
+on plain Python floats. Given the attitudes, velocity and position need no
+loop: one batched rotation of all delta velocities, then sequential sums
+(np.cumsum adds strictly left to right, as a per-sample loop would).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quat
 from .errors import ConfigError, DataError
-from .flightlog import EkfState, FlightLog
+from .flightlog import FlightLog
 
 GRAVITY_MPS2 = 9.80665
 EARTH_RATE_RADPS = 7.292115e-5
@@ -57,43 +63,6 @@ class NavState:
         self.quat = np.asarray(self.quat, dtype=float).reshape(4)
         self.vel_ned = np.asarray(self.vel_ned, dtype=float).reshape(3)
         self.pos_ned = np.asarray(self.pos_ned, dtype=float).reshape(3)
-
-    @classmethod
-    def from_ekf(cls, s: EkfState) -> "NavState":
-        return cls(quat=s.quat.copy(), vel_ned=s.vel_ned.copy(), pos_ned=s.pos_ned.copy(), t_us=int(s.t_us))
-
-
-def propagate_attitude(state: NavState, gyro: np.ndarray, dt: float, cfg: DeadReckonConfig) -> NavState:
-    """Advance attitude by one gyro sample over dt seconds.
-
-    The debiased delta angle (minus the earth rate projected into the body
-    frame when enabled) is applied through the exact quaternion exponential;
-    the result is renormalized every step.
-    """
-    if dt <= 0:
-        raise DataError("dt must be positive")
-    dtheta = (np.asarray(gyro, dtype=float) - cfg.gyro_bias) * dt
-    if cfg.apply_earth_rate:
-        dtheta = dtheta - quat.rotate_inverse(state.quat, cfg.earth_rate_ned()) * dt
-    q_new = quat.normalize(quat.multiply(state.quat, quat.from_rotvec(dtheta)))
-    return NavState(q_new, state.vel_ned, state.pos_ned, state.t_us)
-
-
-def propagate_velocity_position(state: NavState, accel: np.ndarray, dt: float, cfg: DeadReckonConfig) -> NavState:
-    """Advance velocity and position by one accelerometer sample over dt.
-
-    Uses the state's current attitude to rotate the debiased delta velocity
-    into NED, adds gravity, then integrates position with the trapezoidal
-    mean of old and new velocity.
-    """
-    if dt <= 0:
-        raise DataError("dt must be positive")
-    dv_body = (np.asarray(accel, dtype=float) - cfg.accel_bias) * dt
-    dv_ned = quat.rotate(state.quat, dv_body)
-    dv_ned[2] += cfg.gravity_mps2 * dt
-    vel_new = state.vel_ned + dv_ned
-    pos_new = state.pos_ned + 0.5 * (state.vel_ned + vel_new) * dt
-    return NavState(state.quat, vel_new, pos_new, state.t_us)
 
 
 @dataclass
@@ -151,31 +120,48 @@ def dead_reckon(log: FlightLog, cfg: DeadReckonConfig | None = None, init: NavSt
         init = NavState(e.quat[0].copy(), e.vel_ned[0].copy(), e.pos_ned[0].copy(), int(e.t_us[0]))
 
     mask = log.imu.t_us > init.t_us
-    t_arr = log.imu.t_us[mask]
-    gyro = log.imu.gyro[mask]
-    accel = log.imu.accel[mask]
+    t_us = np.concatenate([np.array([init.t_us], dtype=np.int64), log.imu.t_us[mask]])
+    dt = np.diff(t_us).astype(float) * 1e-6
+    q = _integrate_attitude(init.quat, (log.imu.gyro[mask] - cfg.gyro_bias) * dt[:, None], dt, cfg)
+    dv = quat.rotate(q[1:], (log.imu.accel[mask] - cfg.accel_bias) * dt[:, None])
+    dv[:, 2] += cfg.gravity_mps2 * dt
+    vel = np.cumsum(np.vstack([init.vel_ned, dv]), axis=0)
+    pos = np.cumsum(np.vstack([init.pos_ned, 0.5 * (vel[:-1] + vel[1:]) * dt[:, None]]), axis=0)
+    return Trajectory(t_us, q, vel, pos)
 
-    n = len(t_arr)
-    out_t = np.empty(n + 1, dtype=np.int64)
-    out_q = np.empty((n + 1, 4))
-    out_v = np.empty((n + 1, 3))
-    out_p = np.empty((n + 1, 3))
-    out_t[0] = init.t_us
-    out_q[0] = init.quat
-    out_v[0] = init.vel_ned
-    out_p[0] = init.pos_ned
 
-    state = init
-    t_prev = init.t_us
-    for i in range(n):
-        dt = float(t_arr[i] - t_prev) * 1e-6
-        state = propagate_attitude(state, gyro[i], dt, cfg)
-        state = propagate_velocity_position(state, accel[i], dt, cfg)
-        state.t_us = int(t_arr[i])
-        t_prev = t_arr[i]
-        out_t[i + 1] = t_arr[i]
-        out_q[i + 1] = state.quat
-        out_v[i + 1] = state.vel_ned
-        out_p[i + 1] = state.pos_ned
+def _integrate_attitude(q0: np.ndarray, dtheta: np.ndarray, dt: np.ndarray, cfg: DeadReckonConfig) -> np.ndarray:
+    """Attitudes [n+1, 4] from q0 and debiased delta angles [n, 3].
 
-    return Trajectory(out_t, out_q, out_v, out_p)
+    Each step takes the earth rate out of the delta angle (when enabled),
+    applies it through the exact exponential map and renormalises. The
+    arithmetic is quat.rotate_inverse, from_rotvec (sin(a/2)/a taken as
+    np.sinc does), multiply and normalize on plain floats, in their order.
+    """
+    sqrt, sin, cos, pi = math.sqrt, math.sin, math.cos, math.pi
+    eps = float(np.finfo(float).eps)
+    earth = cfg.apply_earth_rate
+    ex, ey, ez = cfg.earth_rate_ned().tolist()
+    w, x, y, z = (float(c) for c in q0)
+    out = [(w, x, y, z)]
+    for (ax, ay, az), h in zip(dtheta.tolist(), dt.tolist()):
+        if earth:
+            ux, uy, uz = -x, -y, -z
+            tx, ty, tz = 2.0 * (uy * ez - uz * ey), 2.0 * (uz * ex - ux * ez), 2.0 * (ux * ey - uy * ex)
+            ax -= (ex + w * tx + (uy * tz - uz * ty)) * h
+            ay -= (ey + w * ty + (uz * tx - ux * tz)) * h
+            az -= (ez + w * tz + (ux * ty - uy * tx)) * h
+        half = 0.5 * sqrt(ax * ax + ay * ay + az * az)
+        arg = pi * (half / pi) or eps
+        s = 0.5 * (sin(arg) / arg)
+        c, bx, by, bz = cos(half), s * ax, s * ay, s * az
+        w, x, y, z = (
+            w * c - x * bx - y * by - z * bz,
+            w * bx + x * c + y * bz - z * by,
+            w * by - x * bz + y * c + z * bx,
+            w * bz + x * by - y * bx + z * c,
+        )
+        n = sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        out.append((w, x, y, z))
+    return np.array(out)

@@ -548,6 +548,14 @@ def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path:
             fh.write(a.tobytes())
 
 
+def _valid_array_desc(desc) -> bool:
+    """A NAVC array entry: a str name and a list of non-negative int dims."""
+    if not isinstance(desc, dict) or not isinstance(desc.get("name"), str):
+        return False
+    shape = desc.get("shape")
+    return isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     if not path.is_file():
@@ -582,7 +590,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     arrays = {}
     offset = 0
-    for desc in header.get("arrays", []):
+    descs = header.get("arrays", [])
+    if not isinstance(descs, list) or not all(map(_valid_array_desc, descs)):
+        raise CheckpointError(f"{path}: malformed 'arrays' header")
+    for desc in descs:
         shape = tuple(desc["shape"])
         count = int(np.prod(shape))
         nbytes = 4 * count

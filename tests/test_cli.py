@@ -157,6 +157,24 @@ def test_bad_data_exits_two(tmp_path):
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_non_finite_imu_sample_exits_two(tmp_path, capsys):
+    synth_cfg = _write_config(
+        tmp_path / "synth.json",
+        {"batch": {"count": 2, "profiles": ["circle"], "duration_s": 20.0, "seed": 5}},
+    )
+    assert main(["synth", "--config", synth_cfg, "--out", str(tmp_path / "data")]) == 0
+    imu_csv = sorted((tmp_path / "data").rglob("imu.csv"))[0]
+    lines = imu_csv.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    lines[5] = ",".join(fields)
+    imu_csv.write_text("\n".join(lines) + "\n")
+    pre_cfg = _write_config(tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "min_duration_s": 10.0})
+    capsys.readouterr()
+    assert main(["preprocess", "--config", pre_cfg, "--out", str(tmp_path / "pre")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--help"])

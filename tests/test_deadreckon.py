@@ -2,17 +2,50 @@ import numpy as np
 import pytest
 
 from navrnn import quat
-from navrnn.deadreckon import (
-    DeadReckonConfig,
-    NavState,
-    dead_reckon,
-    propagate_attitude,
-    propagate_velocity_position,
-)
+from navrnn.deadreckon import DeadReckonConfig, NavState, dead_reckon
 from navrnn.errors import ConfigError, DataError
-from navrnn.synth import SynthConfig, generate_flight
+from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+# Per-sample reference integrator (oracle): one NavState per step, numpy
+# quaternion helpers throughout. dead_reckon must reproduce its loop.
+
+
+def propagate_attitude(state: NavState, gyro: np.ndarray, dt: float, cfg: DeadReckonConfig) -> NavState:
+    """Advance attitude by one gyro sample over dt seconds."""
+    if dt <= 0:
+        raise DataError("dt must be positive")
+    dtheta = (np.asarray(gyro, dtype=float) - cfg.gyro_bias) * dt
+    if cfg.apply_earth_rate:
+        dtheta = dtheta - quat.rotate_inverse(state.quat, cfg.earth_rate_ned()) * dt
+    q_new = quat.normalize(quat.multiply(state.quat, quat.from_rotvec(dtheta)))
+    return NavState(q_new, state.vel_ned, state.pos_ned, state.t_us)
+
+
+def propagate_velocity_position(state: NavState, accel: np.ndarray, dt: float, cfg: DeadReckonConfig) -> NavState:
+    """Advance velocity and position by one accelerometer sample over dt."""
+    if dt <= 0:
+        raise DataError("dt must be positive")
+    dv_body = (np.asarray(accel, dtype=float) - cfg.accel_bias) * dt
+    dv_ned = quat.rotate(state.quat, dv_body)
+    dv_ned[2] += cfg.gravity_mps2 * dt
+    vel_new = state.vel_ned + dv_ned
+    pos_new = state.pos_ned + 0.5 * (state.vel_ned + vel_new) * dt
+    return NavState(state.quat, vel_new, pos_new, state.t_us)
+
+
+def oracle_dead_reckon(log, cfg: DeadReckonConfig, init: NavState):
+    """States [n+1] of quat, vel, pos: attitude first, then velocity/position."""
+    mask = log.imu.t_us > init.t_us
+    states, t_prev = [init], init.t_us
+    for t, gyro, accel in zip(log.imu.t_us[mask], log.imu.gyro[mask], log.imu.accel[mask]):
+        dt = float(t - t_prev) * 1e-6
+        s = propagate_attitude(states[-1], gyro, dt, cfg)
+        states.append(propagate_velocity_position(s, accel, dt, cfg))
+        t_prev = t
+    return tuple(np.array([getattr(s, k) for s in states]) for k in ("quat", "vel_ned", "pos_ned"))
 
 
 def _state(vel=(0, 0, 0), pos=(0, 0, 0)):
@@ -102,8 +135,6 @@ class TestDeadReckon:
         assert np.max(np.linalg.norm(pos - log.ekf.pos_ned, axis=1)) < 0.1
 
     def test_noisy_error_grows(self):
-        from navrnn.synth import NoiseConfig
-
         log = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=3, noise=NoiseConfig.low_cost()))
         traj = dead_reckon(log, DeadReckonConfig())
         _, _, pos = traj.sample_at(log.ekf.t_us)
@@ -164,6 +195,36 @@ class TestDeadReckon:
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd"
         assert len(lines) == len(traj) + 1
+
+
+@pytest.fixture(scope="module")
+def biased_flight():
+    return generate_flight(SynthConfig(duration_s=60.0, profile="aggressive_manual", seed=7, noise=NoiseConfig.low_cost()))
+
+
+BIASES = dict(gyro_bias=[0.004, -0.003, 0.002], accel_bias=[0.05, -0.04, 0.08])
+
+
+@pytest.mark.parametrize(
+    "cfg_kw, init_row",
+    [
+        pytest.param({}, None, id="default"),
+        pytest.param(dict(apply_earth_rate=True, home_lat_deg=45.0), None, id="earth_rate_45deg"),
+        pytest.param({}, 120, id="mid_flight_init"),
+    ],
+)
+def test_matches_per_sample_oracle(biased_flight, cfg_kw, init_row):
+    log = biased_flight
+    cfg = DeadReckonConfig(**BIASES, **cfg_kw)
+    row = init_row or 0
+    init = NavState(log.ekf.quat[row], log.ekf.vel_ned[row], log.ekf.pos_ned[row], int(log.ekf.t_us[row]))
+    traj = dead_reckon(log, cfg, init=init if init_row else None)
+    q, vel, pos = oracle_dead_reckon(log, cfg, init)
+    assert len(traj) == len(q) and traj.t_us[0] == init.t_us
+    np.testing.assert_array_equal(traj.t_us[1:], log.imu.t_us[log.imu.t_us > init.t_us])
+    np.testing.assert_allclose(traj.quat, q, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.vel_ned, vel, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(traj.pos_ned, pos, rtol=0, atol=1e-9)
 
 
 def test_config_validation():

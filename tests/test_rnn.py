@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -369,6 +372,26 @@ class TestCheckpoint:
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda h: h["arrays"][0].pop("name"), id="no_name"),
+            pytest.param(lambda h: h["arrays"][0].pop("shape"), id="no_shape"),
+            pytest.param(lambda h: h["arrays"][0].update(shape=[-1, 4]), id="negative_shape"),
+            pytest.param(lambda h: h.update(arrays=5), id="arrays_not_a_list"),
+        ],
+    )
+    def test_malformed_array_descriptor(self, tmp_path, mutate):
+        _, _, _, path = self._make(tmp_path)
+        data = path.read_bytes()
+        version, blob_len = struct.unpack("<2I", data[4:12])
+        header = json.loads(data[12 : 12 + blob_len])
+        mutate(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:4] + struct.pack("<2I", version, len(blob)) + blob + data[12 + blob_len :])
+        with pytest.raises(CheckpointError, match="array"):
             load_checkpoint(path)
 
     def test_missing_normalization_meta(self, tmp_path):
