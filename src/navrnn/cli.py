@@ -123,20 +123,31 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _clean_log(manifest: synth.DatasetManifest, entry: synth.LogEntry, config: dict) -> preprocess.CleanupVerdict:
+    """Read one log and run cleanup on it; a log that fails its invariant
+    checks on load (NaN, non-increasing timestamps, ...) is rejected as
+    validation_defects instead of ending the run."""
+    try:
+        flight = read_flight_log(manifest.log_path(entry))
+    except ValidationError as exc:
+        log.warning("rejecting %s: %s", entry.log_id, exc)
+        return preprocess.CleanupVerdict(log_id=entry.log_id, accepted=False, reasons=["validation_defects"])
+    trim = config.get("trim", {})
+    return preprocess.detect_corrupted(
+        flight,
+        max_gap_s=float(config.get("max_gap_s", 1.0)),
+        min_duration_s=float(config.get("min_duration_s", 60.0)),
+        vel_thresh_mps=float(trim.get("vel_thresh_mps", 0.5)),
+        hold_s=float(trim.get("hold_s", 1.0)),
+    )
+
+
 def _clean_logs(manifest: synth.DatasetManifest, config: dict):
     """Run cleanup on every log; returns (kept entries+logs, verdicts)."""
-    trim = config.get("trim", {})
     kept = []
     verdicts = []
     for entry in manifest.logs:
-        flight = read_flight_log(manifest.log_path(entry))
-        verdict = preprocess.detect_corrupted(
-            flight,
-            max_gap_s=float(config.get("max_gap_s", 1.0)),
-            min_duration_s=float(config.get("min_duration_s", 60.0)),
-            vel_thresh_mps=float(trim.get("vel_thresh_mps", 0.5)),
-            hold_s=float(trim.get("hold_s", 1.0)),
-        )
+        verdict = _clean_log(manifest, entry, config)
         verdicts.append(verdict)
         if verdict.accepted:
             kept.append((entry, verdict.trimmed))
@@ -277,20 +288,12 @@ def cmd_eval(args) -> int:
     run_baseline = bool(args.baseline or config.get("baseline"))
     dr_cfg = deadreckon.DeadReckonConfig(**config.get("deadreckon", {})) if run_baseline else None
 
-    trim = config.get("trim", {})
     metrics_dir = out / "metrics"
     metrics_dir.mkdir(exist_ok=True)
     all_metrics = []
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
-        flight = read_flight_log(manifest.log_path(entry))
-        verdict = preprocess.detect_corrupted(
-            flight,
-            max_gap_s=float(config.get("max_gap_s", 1.0)),
-            min_duration_s=float(config.get("min_duration_s", 60.0)),
-            vel_thresh_mps=float(trim.get("vel_thresh_mps", 0.5)),
-            hold_s=float(trim.get("hold_s", 1.0)),
-        )
+        verdict = _clean_log(manifest, entry, config)
         if not verdict.accepted:
             log.warning("skipping %s: %s", entry.log_id, ",".join(verdict.reasons))
             continue

@@ -7,6 +7,14 @@ maps the final hidden state to the six state increments. Gate activations
 are sigmoid; the input activation is configurable (tanh default). Gradients
 are derived by hand for this fixed architecture and verified against finite
 differences in the test suite. All math runs at one declared precision.
+
+Every sigmoid is ½ + ½·tanh(z/2). An LSTM step activates its [B, 4h] gate
+block (columns i, f, g, o) with one tanh and then `*s + off` (0.5/0.5 on
+sigmoid columns, 1/0 on a tanh g; a relu g is taken before the tanh); the ½
+inside the tanh is folded into the weights once per call, which is exact.
+The block is activated in place in the input-projection buffer, which is
+the tape's `gates["a"]` [w, B, 4h]; `gates["c"]`, `gates["ca"]` (the cell
+state and its activation) and `h` are [w, B, h].
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from .errors import CheckpointError, ConfigError, DataError
 
@@ -49,12 +56,21 @@ class NetworkConfig:
             raise ConfigError(f"unknown activation {self.input_activation!r}")
 
 
-def _act(name: str, x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as ½ + ½·tanh(x/2): one tanh, no overflow, in [0, 1]."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
+def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if name == "relu":
-        return np.maximum(x, 0.0)
-    return _sigmoid(x)
+        return np.maximum(x, 0.0, out=out)
+    return sigmoid(x, out=out)
 
 
 def _act_deriv_from_value(name: str, y: np.ndarray) -> np.ndarray:
@@ -166,46 +182,6 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
 
 
 # ---------------------------------------------------------------------------
-# single-sample cell steps
-
-
-def lstm_cell_step(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LayerParams, input_activation: str = "tanh"
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step: gate order i, f, g, o; gates sigmoid, candidate act."""
-    x = np.asarray(x)
-    hs = len(h)
-    z = layer.wx @ x + layer.wh @ h + layer.b
-    i = _sigmoid(z[:hs])
-    f = _sigmoid(z[hs : 2 * hs])
-    g = _act(input_activation, z[2 * hs : 3 * hs])
-    o = _sigmoid(z[3 * hs :])
-    c_new = f * c + i * g
-    h_new = o * _act(input_activation, c_new)
-    return h_new, c_new
-
-
-def gru_cell_step(
-    x: np.ndarray, h: np.ndarray, layer: LayerParams, input_activation: str = "tanh"
-) -> np.ndarray:
-    """One GRU step: gate order r, z, n; the reset gate scales the recurrent
-    contribution of the candidate."""
-    hs = len(h)
-    zx = layer.wx @ np.asarray(x) + layer.b
-    zh = layer.wh @ h
-    r = _sigmoid(zx[:hs] + zh[:hs])
-    z = _sigmoid(zx[hs : 2 * hs] + zh[hs : 2 * hs])
-    n = _act(input_activation, zx[2 * hs :] + r * zh[2 * hs :])
-    return (1.0 - z) * n + z * h
-
-
-def vanilla_cell_step(
-    x: np.ndarray, h: np.ndarray, layer: LayerParams, input_activation: str = "tanh"
-) -> np.ndarray:
-    return _act(input_activation, layer.wx @ np.asarray(x) + layer.wh @ h + layer.b)
-
-
-# ---------------------------------------------------------------------------
 # batched forward
 
 
@@ -246,42 +222,48 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
     # time-major input to each layer
     seq = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # [w, B, in]
     layer_tapes: list[_LayerTape] = []
-    h = np.zeros((B, hs), dtype=params.dtype)
+    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # LSTM gate columns
+    s = np.full(4 * hs, 0.5, dtype=params.dtype)  # ½ on sigmoid columns, 1 on a tanh/relu g
+    s[gg] = 0.5 if act_name == "sigmoid" else 1.0
+    off = 1.0 - s
 
     for layer in params.layers:
-        in_size = layer.wx.shape[1]
-        pre = seq.reshape(w * B, in_size) @ layer.wx.T + layer.b  # [w*B, gates*h]
-        pre = pre.reshape(w, B, -1)
+        wx, wh, b = layer.wx, layer.wh, layer.b
+        if params.cell == "lstm":  # pre-activation z/2 on the sigmoid columns (exact)
+            wx, wh, b = wx * s[:, None], wh * s[:, None], b * s
+        pre = (seq.reshape(w * B, -1) @ wx.T).reshape(w, B, -1)  # [w, B, gates*h]
+        pre += b
         h = np.zeros((B, hs), dtype=params.dtype)
         H = np.empty((w, B, hs), dtype=params.dtype)
         if params.cell == "lstm":
             c = np.zeros((B, hs), dtype=params.dtype)
-            I = np.empty_like(H)
-            F = np.empty_like(H)
-            G = np.empty_like(H)
-            O = np.empty_like(H)
             C = np.empty_like(H)
             CA = np.empty_like(H)
+            zh = np.empty((B, 4 * hs), dtype=params.dtype)
+            ig = np.empty_like(c)
             for t in range(w):
-                z = pre[t] + h @ layer.wh.T
-                i = _sigmoid(z[:, :hs])
-                f = _sigmoid(z[:, hs : 2 * hs])
-                g = _act(act_name, z[:, 2 * hs : 3 * hs])
-                o = _sigmoid(z[:, 3 * hs :])
-                c = f * c + i * g
-                ca = _act(act_name, c)
-                h = o * ca
-                I[t], F[t], G[t], O[t], C[t], CA[t], H[t] = i, f, g, o, c, ca, h
-            gates = {"i": I, "f": F, "g": G, "o": O, "c": C, "ca": CA}
+                a = pre[t]
+                a += np.matmul(h, wh.T, out=zh)
+                if act_name == "relu":
+                    np.maximum(a[:, gg], 0.0, out=ig)
+                np.tanh(a, out=a)
+                a *= s
+                a += off
+                if act_name == "relu":
+                    a[:, gg] = ig
+                c = np.multiply(a[:, gf], c, out=C[t])
+                c += np.multiply(a[:, gi], a[:, gg], out=ig)
+                h = np.multiply(a[:, go], _act(act_name, c, out=CA[t]), out=H[t])
+            gates = {"a": pre, "c": C, "ca": CA}
         elif params.cell == "gru":
             R = np.empty_like(H)
             Z = np.empty_like(H)
             N = np.empty_like(H)
             RN = np.empty_like(H)  # recurrent contribution to the candidate
             for t in range(w):
-                zh = h @ layer.wh.T
-                r = _sigmoid(pre[t][:, :hs] + zh[:, :hs])
-                zg = _sigmoid(pre[t][:, hs : 2 * hs] + zh[:, hs : 2 * hs])
+                zh = h @ wh.T
+                r = sigmoid(pre[t][:, :hs] + zh[:, :hs])
+                zg = sigmoid(pre[t][:, hs : 2 * hs] + zh[:, hs : 2 * hs])
                 rn = zh[:, 2 * hs :]
                 n_ = _act(act_name, pre[t][:, 2 * hs :] + r * rn)
                 h = (1.0 - zg) * n_ + zg * h
@@ -289,8 +271,7 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
             gates = {"r": R, "z": Z, "n": N, "rn": RN}
         else:  # vanilla
             for t in range(w):
-                h = _act(act_name, pre[t] + h @ layer.wh.T)
-                H[t] = h
+                h = _act(act_name, pre[t] + h @ wh.T, out=H[t])
             gates = {}
         if want_tape:
             layer_tapes.append(_LayerTape(inputs=seq, h=H, gates=gates))
@@ -391,42 +372,47 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
 
     act_name = params.input_activation
     hs = params.hidden_size
+    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # LSTM gate columns
     g_dense_w = dy.T @ tape.h_final
     g_dense_b = dy.sum(axis=0)
     d_ext_final = dy @ params.dense.w  # [B, h]
 
     grads_layers: list[LayerParams | None] = [None] * len(params.layers)
     d_ext: np.ndarray | None = None  # [w, B, h] gradient w.r.t. this layer's output sequence
+    w, B, _ = tape.layer_tapes[0].h.shape
+    # gradients w.r.t. the gate pre-activations, one buffer for every layer
+    dgx = np.empty((w, B, params.layers[0].wx.shape[0]), dtype=params.dtype)
+    dgh = np.empty_like(dgx) if params.cell == "gru" else dgx
 
     for li in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[li]
         lt = tape.layer_tapes[li]
-        w, B, _ = lt.h.shape
-        dgx = np.zeros((w, B, layer.wx.shape[0]), dtype=params.dtype)
-        if params.cell == "gru":
-            dgh = np.zeros_like(dgx)
-        dh_next = np.zeros((B, hs), dtype=params.dtype)
+        dh = np.zeros((B, hs), dtype=params.dtype)
         if params.cell == "lstm":
-            dc_next = np.zeros((B, hs), dtype=params.dtype)
-            I, F, G, O, C, CA = (lt.gates[k] for k in ("i", "f", "g", "o", "c", "ca"))
+            A, C, CA = lt.gates["a"], lt.gates["c"], lt.gates["ca"]
+            dc = np.zeros_like(dh)
+            up = np.empty((B, 4 * hs), dtype=params.dtype)  # upstream gradient of each gate
         for t in range(w - 1, -1, -1):
-            dh = dh_next.copy()
             if d_ext is not None:
                 dh += d_ext[t]
             elif t == w - 1:
                 dh += d_ext_final
+            dgates = dgx[t]
             if params.cell == "lstm":
-                i, f, g, o, c, ca = I[t], F[t], G[t], O[t], C[t], CA[t]
-                do = dh * ca
-                dc = dc_next + dh * o * _act_deriv_from_value(act_name, ca)
-                c_prev = C[t - 1] if t > 0 else 0.0
-                dgates = dgx[t]
-                dgates[:, :hs] = (dc * g) * (i * (1.0 - i))
-                dgates[:, hs : 2 * hs] = (dc * c_prev) * (f * (1.0 - f))
-                dgates[:, 2 * hs : 3 * hs] = (dc * i) * _act_deriv_from_value(act_name, g)
-                dgates[:, 3 * hs :] = do * (o * (1.0 - o))
-                dc_next = dc * f
-                dh_next = dgates @ layer.wh
+                a = A[t]
+                dc += _act_deriv_from_value(act_name, CA[t]) * a[:, go] * dh
+                np.multiply(dc, a[:, gg], out=up[:, gi])
+                np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
+                np.multiply(dc, a[:, gi], out=up[:, gg])
+                np.multiply(dh, CA[t], out=up[:, go])
+                # σ' = a(1 - a) on the whole block, then the candidate's own derivative
+                np.subtract(1.0, a, out=dgates)
+                dgates *= a
+                if act_name != "sigmoid":
+                    dgates[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
+                dgates *= up
+                dc *= a[:, gf]
+                np.matmul(dgates, layer.wh, out=dh)
             elif params.cell == "gru":
                 r, z, n_, rn = (lt.gates[k][t] for k in ("r", "z", "n", "rn"))
                 h_prev = lt.h[t - 1] if t > 0 else np.zeros_like(dh)
@@ -436,27 +422,27 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
                 dr = dn_pre * rn
                 dz_pre = dz * (z * (1.0 - z))
                 dr_pre = dr * (r * (1.0 - r))
-                dgx[t][:, :hs] = dr_pre
-                dgx[t][:, hs : 2 * hs] = dz_pre
-                dgx[t][:, 2 * hs :] = dn_pre
+                dgates[:, :hs] = dr_pre
+                dgates[:, hs : 2 * hs] = dz_pre
+                dgates[:, 2 * hs :] = dn_pre
                 dgh[t][:, :hs] = dr_pre
                 dgh[t][:, hs : 2 * hs] = dz_pre
                 dgh[t][:, 2 * hs :] = dn_pre * r
-                dh_next = dh * z + dgh[t] @ layer.wh
+                dh *= z
+                dh += dgh[t] @ layer.wh
             else:
-                dpre = dh * _act_deriv_from_value(act_name, lt.h[t])
-                dgx[t] = dpre
-                dh_next = dpre @ layer.wh
+                np.multiply(dh, _act_deriv_from_value(act_name, lt.h[t]), out=dgates)
+                np.matmul(dgates, layer.wh, out=dh)
         flat_x = lt.inputs.reshape(w * B, -1)
         flat_dgx = dgx.reshape(w * B, -1)
-        h_prev_seq = np.concatenate([np.zeros((1, B, hs), dtype=params.dtype), lt.h[:-1]], axis=0)
-        flat_dgh = dgh.reshape(w * B, -1) if params.cell == "gru" else flat_dgx
+        flat_dgh = dgh.reshape(w * B, -1)
         g_wx = flat_dgx.T @ flat_x
-        g_wh = flat_dgh.T @ h_prev_seq.reshape(w * B, hs)
+        # the state before step 0 is zero, so step 0 adds nothing to g_wh
+        g_wh = flat_dgh[B:].T @ lt.h[:-1].reshape((w - 1) * B, hs)
         g_b = flat_dgx.sum(axis=0)
         grads_layers[li] = LayerParams(g_wx, g_wh, g_b)
-        # gradient w.r.t. this layer's input sequence feeds the layer below
-        d_ext = (flat_dgx @ layer.wx).reshape(w, B, -1)
+        if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below
+            d_ext = (flat_dgx @ layer.wx).reshape(w, B, -1)
 
     return NetworkParams(
         layers=grads_layers,
@@ -579,7 +565,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
         payload = fh.read()
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: 'meta' is not a JSON object")
     for key in REQUIRED_META:
         if key not in meta:
             raise CheckpointError(f"{path}: meta missing {key!r}; refusing to load")

@@ -157,22 +157,42 @@ def test_bad_data_exits_two(tmp_path):
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_non_finite_imu_sample_exits_two(tmp_path, capsys):
+def _synth_with_one_nan(root: Path, count: int) -> str:
+    """Synthesize `count` short flights and put one NaN into the first
+    one's imu.csv; returns that log's id."""
     synth_cfg = _write_config(
-        tmp_path / "synth.json",
-        {"batch": {"count": 2, "profiles": ["circle"], "duration_s": 20.0, "seed": 5}},
+        root / "synth.json",
+        {"batch": {"count": count, "profiles": ["circle"], "duration_s": 20.0, "seed": 5}},
     )
-    assert main(["synth", "--config", synth_cfg, "--out", str(tmp_path / "data")]) == 0
-    imu_csv = sorted((tmp_path / "data").rglob("imu.csv"))[0]
+    assert main(["synth", "--config", synth_cfg, "--out", str(root / "data")]) == 0
+    imu_csv = sorted((root / "data").rglob("imu.csv"))[0]
     lines = imu_csv.read_text().splitlines()
     fields = lines[5].split(",")
     fields[1] = "nan"
     lines[5] = ",".join(fields)
     imu_csv.write_text("\n".join(lines) + "\n")
+    return json.loads((imu_csv.parent / "manifest.json").read_text())["log_id"]
+
+
+def test_non_finite_imu_sample_exits_two(tmp_path, capsys):
+    _synth_with_one_nan(tmp_path, count=2)
     pre_cfg = _write_config(tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "min_duration_s": 10.0})
     capsys.readouterr()
     assert main(["preprocess", "--config", pre_cfg, "--out", str(tmp_path / "pre")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_non_finite_log_rejected_rest_of_corpus_kept(tmp_path):
+    bad_id = _synth_with_one_nan(tmp_path, count=3)
+    pre_cfg = _write_config(
+        tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "min_duration_s": 10.0, "window": 10}
+    )
+    assert main(["preprocess", "--config", pre_cfg, "--out", str(tmp_path / "pre")]) == 0
+    report = json.loads((tmp_path / "pre" / "cleanup_report.json").read_text())
+    assert report["input_count"] == 3 and report["accepted_count"] == 2
+    verdicts = {v["log_id"]: v for v in report["verdicts"]}
+    assert verdicts[bad_id]["accepted"] is False
+    assert verdicts[bad_id]["reasons"] == ["validation_defects"]
 
 
 def test_help_lists_flags(capsys):

@@ -8,28 +8,70 @@ from scipy.special import expit
 from navrnn.errors import CheckpointError, ConfigError
 from navrnn.rnn import (
     AdamState,
+    LayerParams,
     LossSpec,
     NetworkConfig,
     adam_step,
     backward,
     forward,
-    gru_cell_step,
     init_params,
     load_checkpoint,
     loss,
-    lstm_cell_step,
     predict,
     save_checkpoint,
-    vanilla_cell_step,
+    sigmoid,
 )
+
+
+# ---------------------------------------------------------------------------
+# single-sample cell steps: the reference the batched forward is checked
+# against, written with scipy's expit so it shares no code with it
+
+
+def _act(name, x):
+    if name == "tanh":
+        return np.tanh(x)
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    return expit(x)
+
+
+def lstm_cell_step(x, h, c, layer: LayerParams, input_activation="tanh"):
+    """One LSTM step: gate order i, f, g, o; gates sigmoid, candidate act."""
+    hs = len(h)
+    z = layer.wx @ np.asarray(x) + layer.wh @ h + layer.b
+    i = expit(z[:hs])
+    f = expit(z[hs : 2 * hs])
+    g = _act(input_activation, z[2 * hs : 3 * hs])
+    o = expit(z[3 * hs :])
+    c_new = f * c + i * g
+    h_new = o * _act(input_activation, c_new)
+    return h_new, c_new
+
+
+def gru_cell_step(x, h, layer: LayerParams, input_activation="tanh"):
+    """One GRU step: gate order r, z, n; the reset gate scales the recurrent
+    contribution of the candidate."""
+    hs = len(h)
+    zx = layer.wx @ np.asarray(x) + layer.b
+    zh = layer.wh @ h
+    r = expit(zx[:hs] + zh[:hs])
+    z = expit(zx[hs : 2 * hs] + zh[hs : 2 * hs])
+    n = _act(input_activation, zx[2 * hs :] + r * zh[2 * hs :])
+    return (1.0 - z) * n + z * h
+
+
+def vanilla_cell_step(x, h, layer: LayerParams, input_activation="tanh"):
+    return _act(input_activation, layer.wx @ np.asarray(x) + layer.wh @ h + layer.b)
 
 
 def _flatten(params):
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 
 
-def _fd_max_rel_err(cell, seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3):
-    cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6, cell=cell)
+def _fd_max_rel_err(cell, seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, activation="tanh"):
+    cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6, cell=cell,
+                        input_activation=activation)
     params = init_params(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1000)
     x = rng.standard_normal((batch, w, 11))
@@ -99,8 +141,6 @@ class TestCellSteps:
 
     def test_scalar_hand_oracle(self):
         # single unit, hand-set parameters, evaluated against explicit algebra
-        from navrnn.rnn import LayerParams
-
         wx = np.array([[0.5], [-0.3], [0.8], [0.2]])
         wh = np.array([[0.1], [0.4], [-0.2], [0.3]])
         b = np.array([0.05, 1.0, -0.1, 0.2])
@@ -148,6 +188,35 @@ class TestCellSteps:
             y_loop = params.dense.w @ h + params.dense.b
             y_fwd, _ = forward(params, x)
             np.testing.assert_allclose(y_fwd, y_loop, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    def test_lstm_batched_forward_matches_oracle(self, rng, activation):
+        cfg = NetworkConfig(recurrent_layers=2, hidden_size=7, input_size=4, input_activation=activation)
+        params = init_params(cfg, seed=6, dtype=np.float64)
+        x = rng.standard_normal((5, 9, 4)) * 2.0
+        y_loop = []
+        for window in x:
+            seq = window
+            for layer in params.layers:
+                h = np.zeros(7)
+                c = np.zeros(7)
+                out = []
+                for t in range(len(seq)):
+                    h, c = lstm_cell_step(seq[t], h, c, layer, activation)
+                    out.append(h)
+                seq = np.array(out)
+            y_loop.append(params.dense.w @ h + params.dense.b)
+        y_fwd, _ = forward(params, x)
+        np.testing.assert_allclose(y_fwd, np.array(y_loop), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1.2e-7), (np.float64, 1e-15)])
+    def test_sigmoid_helper(self, dtype, atol):
+        x = np.concatenate([np.linspace(-100.0, 100.0, 20001), [-100.0, -0.0, 0.0, 100.0]]).astype(dtype)
+        with np.errstate(all="raise"):
+            y = sigmoid(x)
+        assert y.dtype == dtype
+        assert np.all((y >= 0.0) & (y <= 1.0))
+        np.testing.assert_allclose(y, expit(x.astype(np.float64)), rtol=0, atol=atol)
 
 
 class TestForward:
@@ -227,9 +296,18 @@ class TestLoss:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("cell", ["lstm", "gru", "vanilla"])
-    def test_gradcheck_cells(self, cell):
-        assert _fd_max_rel_err(cell, seed=0) < 1e-4
+    @pytest.mark.parametrize(
+        "cell, activation",
+        [
+            pytest.param("lstm", "tanh", id="lstm"),
+            pytest.param("lstm", "relu", id="lstm-relu"),
+            pytest.param("lstm", "sigmoid", id="lstm-sigmoid"),
+            pytest.param("gru", "tanh", id="gru"),
+            pytest.param("vanilla", "tanh", id="vanilla"),
+        ],
+    )
+    def test_gradcheck_cells(self, cell, activation):
+        assert _fd_max_rel_err(cell, seed=0, activation=activation) < 1e-4
 
     @pytest.mark.parametrize("loss_kind", ["mae", "mse", "huber"])
     def test_gradcheck_losses(self, loss_kind):
@@ -385,14 +463,30 @@ class TestCheckpoint:
     )
     def test_malformed_array_descriptor(self, tmp_path, mutate):
         _, _, _, path = self._make(tmp_path)
-        data = path.read_bytes()
-        version, blob_len = struct.unpack("<2I", data[4:12])
-        header = json.loads(data[12 : 12 + blob_len])
-        mutate(header)
-        blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(data[:4] + struct.pack("<2I", version, len(blob)) + blob + data[12 + blob_len :])
+        self._rewrite_header(path, lambda h: mutate(h) or h)
         with pytest.raises(CheckpointError, match="array"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            pytest.param(lambda h: [], id="header_not_an_object"),
+            pytest.param(lambda h: {**h, "meta": 5}, id="meta_not_an_object"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, rebuild):
+        _, _, _, path = self._make(tmp_path)
+        self._rewrite_header(path, rebuild)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(path, rebuild):
+        data = path.read_bytes()
+        version, blob_len = struct.unpack("<2I", data[4:12])
+        header = rebuild(json.loads(data[12 : 12 + blob_len]))
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:4] + struct.pack("<2I", version, len(blob)) + blob + data[12 + blob_len :])
 
     def test_missing_normalization_meta(self, tmp_path):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=4)
