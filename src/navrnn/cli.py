@@ -341,7 +341,7 @@ def cmd_stream(args) -> int:
         for p in predictions:
             vals = ",".join(format(float(v), ".17g") for v in p.increment)
             fh.write(f"{p.t_us},{vals},{p.latency_ms:.3f},{p.dropped_samples}\n")
-    report = stream.compare_online_offline(flight, ckpt, cfg)
+    report = stream.compare_online_offline(flight, ckpt, predictions)
     _write_json(report, out / "compare_report.json")
     print(
         f"stream: {len(predictions)} predictions, max offline deviation "
@@ -359,7 +359,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (reserved)")
         p.set_defaults(func=func)
         return p
 

@@ -19,7 +19,7 @@ import numpy as np
 from .deadreckon import DeadReckonConfig, NavState, dead_reckon
 from .errors import ConfigError, DataError
 from .flightlog import FlightLog
-from .preprocess import Normalization, UnifiedSeries, unify_rates, window_count
+from .preprocess import Normalization, UnifiedSeries, gather_windows, unify_rates, window_count
 from .rnn import Checkpoint, predict
 
 
@@ -163,10 +163,7 @@ def predict_increments(
     n_labels = len(series.labels)
     if n_labels < window:
         raise DataError(f"flight too short: {n_labels} steps < window {window}")
-    m = window_count(n_labels, window, stride)
-    windows = np.empty((m, window, rows.shape[1]), dtype=np.float32)
-    for j in range(m):
-        windows[j] = rows[j * stride : j * stride + window]
+    windows = gather_windows(rows, window, stride, window_count(n_labels, window, stride))
     return predict(ckpt.params, windows, batch_size=batch_size)
 
 

@@ -54,57 +54,117 @@ class UnifiedSeries:
         return len(self.t_us)
 
 
+# raw value columns per sensor, in FEATURE_NAMES order (the barometer gives temperature and altitude)
+SENSORS = {"imu": 6, "baro": 2, "mag": 3}
+
+
+def sensor_samples(log: FlightLog) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each sensor's timestamps and raw values, columns in FEATURE_NAMES order."""
+    return {
+        "imu": (log.imu.t_us, np.hstack([log.imu.gyro, log.imu.accel])),
+        "baro": (log.baro.t_us, np.column_stack([log.baro.temp_c, log.baro.alt_m])),
+        "mag": (log.mag.t_us, log.mag.mag),
+    }
+
+
+class FeatureAssembler:
+    """Causal feature rows from raw sensor samples, for batch and stream alike.
+
+    `add` takes a sensor's samples in arrival order; `close` ends one
+    averaging bin (previous edge, edge] per edge. A bin's mean is an
+    np.bincount over its samples in arrival order, so the rows do not depend
+    on how samples and edges were split across calls. An empty bin repeats
+    the sensor's last value: its previous mean, or a sample that arrived at
+    or before the bin's start edge. A sensor with no value yet gives its
+    first sample to its leading empty bins, so rows wait in the assembler
+    until every sensor has produced one.
+    """
+
+    def __init__(self, first_edge_us: int):
+        self._edge = int(first_edge_us)  # end of the last bin returned
+        self._waiting: list[int] = []  # edges closed while a sensor had no value
+        self._t = {s: np.empty(0, dtype=np.int64) for s in SENSORS}  # samples not yet binned
+        self._v = {s: np.empty((0, d)) for s, d in SENSORS.items()}
+        self._last: dict[str, np.ndarray | None] = dict.fromkeys(SENSORS)
+        self._prev_alt: float | None = None
+
+    def add(self, sensor: str, t_us: np.ndarray, values: np.ndarray) -> None:
+        if len(t_us) == 0:
+            return
+        if len(self._t[sensor]):
+            t_us = np.concatenate([self._t[sensor], t_us])
+            values = np.concatenate([self._v[sensor], values])
+        self._t[sensor], self._v[sensor] = np.asarray(t_us), np.asarray(values, dtype=np.float64)
+
+    def close(self, edges) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Close one bin per edge.
+
+        Returns the feature rows [m, N_FEATURES] of every row now complete,
+        and per sensor the flags [m] of the rows whose bin was empty: none
+        while a sensor has produced no sample, then one per edge closed since
+        the last rows.
+        """
+        self._waiting.extend(int(e) for e in edges)
+        if any(self._last[s] is None and len(self._t[s]) == 0 for s in SENSORS):
+            return np.empty((0, N_FEATURES)), {s: np.empty(0, dtype=bool) for s in SENSORS}
+        grid = np.array([self._edge, *self._waiting], dtype=np.int64)
+        self._waiting = []
+        self._edge = int(grid[-1])
+        means, empty = {}, {}
+        for s in SENSORS:
+            means[s], empty[s] = self._bin(s, grid)
+        imu, baro, mag = means["imu"], means["baro"], means["mag"]
+        alt = baro[:, 1]
+        dalt = np.empty((len(alt), 1))
+        dalt[0] = 0.0 if self._prev_alt is None else alt[0] - self._prev_alt
+        dalt[1:, 0] = alt[1:] - alt[:-1]
+        self._prev_alt = alt[-1]
+        return np.concatenate([imu, baro[:, :1], dalt, mag], axis=1), empty
+
+    def _bin(self, sensor: str, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t, v = self._t[sensor], self._v[sensor]
+        m, d = len(grid) - 1, SENSORS[sensor]
+        # slot 0 holds samples at or before the first edge, slot k bin k-1, slot m+1 those after the last edge
+        slot = grid.searchsorted(t)
+        counts = np.bincount(slot, minlength=m + 2)
+        # one bincount over the (slot, column) cells still adds each cell's samples in arrival order
+        sums = np.bincount((slot[:, None] * d + np.arange(d)).ravel(), weights=v.ravel(), minlength=(m + 2) * d)
+        if counts[0]:
+            self._last[sensor] = v[slot == 0][-1]
+        pending = slot > m if counts[-1] else slice(0)  # samples after the last edge wait for the next call
+        self._t[sensor], self._v[sensor] = t[pending], v[pending]
+        counts = counts[1:-1]
+        means = sums.reshape(m + 2, d)[1:-1] / np.maximum(counts, 1)[:, None]  # empty bins are filled below
+        empty = counts == 0
+        if empty.any():
+            seed = self._last[sensor] if self._last[sensor] is not None else v[0]
+            src = np.maximum.accumulate(np.where(empty, -1, np.arange(m)))
+            means = np.where((src < 0)[:, None], seed, means[src])
+        self._last[sensor] = means[-1]
+        return means, empty
+
+
 def unify_rates(log: FlightLog) -> UnifiedSeries:
     """Average every sensor stream between consecutive estimator outputs.
 
     Each interval (t_{k}, t_{k+1}] between estimator samples becomes one
-    feature row. An interval with no inertial samples is a hard error;
-    empty barometer/magnetometer intervals reuse the previous interval's
-    mean and are counted in the carried-bin fields.
+    feature row, built by a FeatureAssembler fed the whole log. An interval
+    with no inertial samples is a hard error; empty barometer/magnetometer
+    intervals reuse the previous value and are counted in the carried-bin
+    fields.
     """
     t_edges = log.ekf.t_us
     n = len(t_edges) - 1
     if n < 1:
         raise DataError("need at least two estimator samples")
-
-    def bin_means(t_us, values, name, allow_empty):
-        idx = np.searchsorted(t_edges, t_us, side="left") - 1
-        valid = (idx >= 0) & (idx < n)
-        idx = idx[valid]
-        vals = np.atleast_2d(values[valid].T).T
-        counts = np.bincount(idx, minlength=n)
-        means = np.empty((n, vals.shape[1]))
-        for c in range(vals.shape[1]):
-            sums = np.bincount(idx, weights=vals[:, c], minlength=n)
-            with np.errstate(invalid="ignore"):
-                means[:, c] = sums / counts
-        carried = 0
-        empty = counts == 0
-        if np.any(empty):
-            if not allow_empty:
-                raise EmptyBinError(f"{name}: {int(empty.sum())} estimator interval(s) without samples")
-            carried = int(empty.sum())
-            # seed the first interval from the nearest sample at or before it
-            if empty[0]:
-                before = t_us <= t_edges[0]
-                seed = values[before][-1] if np.any(before) else values[0]
-                means[0] = np.atleast_1d(seed)
-            for k in range(1, n):
-                if empty[k]:
-                    means[k] = means[k - 1]
-        return means, carried
-
-    imu_means, _ = bin_means(
-        log.imu.t_us, np.hstack([log.imu.gyro, log.imu.accel]), "imu", allow_empty=False
-    )
-    baro_means, baro_carried = bin_means(
-        log.baro.t_us, np.column_stack([log.baro.temp_c, log.baro.alt_m]), "baro", allow_empty=True
-    )
-    mag_means, mag_carried = bin_means(log.mag.t_us, log.mag.mag, "mag", allow_empty=True)
-
-    dalt = np.zeros(n)
-    dalt[1:] = np.diff(baro_means[:, 1])
-    features = np.column_stack([imu_means, baro_means[:, 0], dalt, mag_means])
+    assembler = FeatureAssembler(t_edges[0])
+    for sensor, (t_us, values) in sensor_samples(log).items():
+        assembler.add(sensor, t_us, values)
+    features, empty = assembler.close(t_edges[1:])
+    if len(features) < n:
+        raise DataError("a sensor stream has no samples")
+    if empty["imu"].any():
+        raise EmptyBinError(f"imu: {int(empty['imu'].sum())} estimator interval(s) without samples")
 
     state_pos = log.ekf.pos_ned[1:]
     state_vel = log.ekf.vel_ned[1:]
@@ -122,25 +182,10 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
         init_state=init,
         state_pos=state_pos,
         state_vel=state_vel,
-        baro_carried=baro_carried,
-        mag_carried=mag_carried,
+        baro_carried=int(empty["baro"].sum()),
+        mag_carried=int(empty["mag"].sum()),
         log_id=log.log_id,
     )
-
-
-def bin_mean(values: np.ndarray) -> np.ndarray:
-    """Column means of one bin, with unify_rates' exact accumulation order.
-
-    bincount sums sequentially in sample order while np.sum uses pairwise
-    blocks, so streaming code must use this helper to stay bit-compatible
-    with the batch pipeline.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    idx = np.zeros(len(values), dtype=np.intp)
-    out = np.empty(values.shape[1])
-    for c in range(values.shape[1]):
-        out[c] = np.bincount(idx, weights=values[:, c], minlength=1)[0]
-    return out / len(values)
 
 
 def difference(series: np.ndarray) -> np.ndarray:
@@ -303,6 +348,12 @@ def window_count(n_labels: int, window: int, stride: int) -> int:
     return (n_labels - window) // stride + 1
 
 
+def gather_windows(rows: np.ndarray, window: int, stride: int, count: int) -> np.ndarray:
+    """Contiguous [count, window, f] copy of rows[j*stride : j*stride + window] for j < count."""
+    view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[: (count - 1) * stride + 1 : stride]
+    return np.ascontiguousarray(view.transpose(0, 2, 1))
+
+
 def make_windows(
     series: UnifiedSeries,
     window: int = 200,
@@ -325,12 +376,8 @@ def make_windows(
     norm = normalization or Normalization.fit(series.features)
     rows = norm.apply(series.features)
     m = window_count(n_labels, window, stride)
-    windows = np.empty((m, window, rows.shape[1]), dtype=np.float32)
-    labels = np.empty((m, series.labels.shape[1]), dtype=np.float32)
-    for j in range(m):
-        start = j * stride
-        windows[j] = rows[start : start + window]
-        labels[j] = series.labels[start + window - 1]
+    windows = gather_windows(rows, window, stride, m)
+    labels = series.labels[window - 1 :: stride][:m]
     w = weights if weights is not None else compute_signal_weights(series.labels)
     return WindowedDataset(
         windows=windows,
@@ -446,13 +493,24 @@ def load_windows(path: str | Path) -> WindowedDataset:
     meta = {}
     if sidecar_path.is_file():
         with open(sidecar_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"{sidecar_path}: expected a JSON object")
+    stride = meta.get("stride", 1)
+    source_logs = meta.get("source_logs", [])
+    if type(stride) is not int or stride < 1:
+        raise DataError(f"{sidecar_path}: stride must be a positive integer, got {stride!r}")
+    if not isinstance(source_logs, list) or not all(isinstance(s, str) for s in source_logs):
+        raise DataError(f"{sidecar_path}: source_logs must be a list of log ids")
     return WindowedDataset(
         windows=arr[:o1].reshape(m, w, f).copy(),
         labels=arr[o1:o2].reshape(m, lab).copy(),
         weights=arr[o2:o3].copy(),
         window_size=w,
-        stride=int(meta.get("stride", 1)),
+        stride=stride,
         normalization=Normalization(mean=arr[o3:o4].copy(), std=arr[o4:].copy()),
-        source_logs=list(meta.get("source_logs", [])),
+        source_logs=source_logs,
     )

@@ -1,14 +1,15 @@
 """Real-time inference harness.
 
-One producer thread per sensor replays samples into bounded queues; a
-single consumer owns the rolling feature window, closes an averaging bin
-every period, and predicts the upcoming state increment. Queues drop their
-oldest entry on overflow so producers never block; dropped counts are
-surfaced in every prediction. Two pacing modes exist: wall-clock replay
-(replay_speed > 0) for latency realism, and a virtual clock (replay_speed
-0) that runs as fast as possible while keeping producers at most two
-periods ahead of the consumer, which makes the run deterministic and, with
-zero jitter, bit-identical to the offline batch pipeline.
+A single consumer owns the rolling feature window: every period it feeds
+the samples up to the next bin edge into the same FeatureAssembler that
+offline preprocessing uses, closes that bin, and predicts the upcoming
+state increment once the window is full. There is no virtual clock. At
+replay_speed 0 the closed loop reads the log's arrays directly, which makes
+the run deterministic and, with zero jitter, bit-identical to the offline
+batch pipeline. Threads serve wall-clock replay (replay_speed > 0) only:
+one producer per sensor replays samples into a bounded queue that drops its
+oldest entry on overflow, so producers never block, and dropped counts are
+surfaced in every prediction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .flightlog import FlightLog
-from .preprocess import Normalization, bin_mean, unify_rates
+from .preprocess import SENSORS, FeatureAssembler, Normalization, sensor_samples, unify_rates
 from .rnn import Checkpoint, forward
 from .evaluate import predict_increments
 
@@ -34,7 +35,7 @@ class StreamConfig:
     period_ms: int = 200
     jitter_ms: float = 0.0
     queue_capacity: int = 1024
-    replay_speed: float = 0.0  # 0 = as fast as possible (virtual clock)
+    replay_speed: float = 0.0  # 0 = as fast as possible, straight from the log's arrays
     seed: int = 0
 
     def __post_init__(self):
@@ -93,43 +94,15 @@ class SensorQueue:
         self._pushback = item
 
 
-class VirtualClock:
-    """Pacing for full-speed replay: producers stay <= horizon ahead."""
-
-    def __init__(self, start_us: int, horizon_us: int):
-        self._cond = threading.Condition()
-        self._now = int(start_us)
-        self._horizon = int(horizon_us)
-        self._released = False
-
-    def wait_until_allowed(self, t_us: int) -> None:
-        with self._cond:
-            while not self._released and t_us > self._now + self._horizon:
-                self._cond.wait(timeout=1.0)
-
-    def advance(self, t_us: int) -> None:
-        with self._cond:
-            if t_us > self._now:
-                self._now = int(t_us)
-            self._cond.notify_all()
-
-    def release(self) -> None:
-        with self._cond:
-            self._released = True
-            self._cond.notify_all()
-
-
 def make_queues(cfg: StreamConfig) -> dict[str, SensorQueue]:
-    return {name: SensorQueue(cfg.queue_capacity) for name in ("imu", "baro", "mag")}
+    return {name: SensorQueue(cfg.queue_capacity) for name in SENSORS}
 
 
-def _producer(t_arr, values, q: SensorQueue, clock: VirtualClock | None, speed: float, t0_us: int):
+def _producer(t_arr, values, q: SensorQueue, speed: float, t0_us: int):
     wall_start = time.perf_counter()
     for i in range(len(t_arr)):
         t = int(t_arr[i])
-        if clock is not None:
-            clock.wait_until_allowed(t)
-        elif speed > 0:
+        if speed > 0:
             deadline = wall_start + (t - t0_us) * 1e-6 / speed
             delay = deadline - time.perf_counter()
             if delay > 0:
@@ -138,21 +111,14 @@ def _producer(t_arr, values, q: SensorQueue, clock: VirtualClock | None, speed: 
     q.put(_DONE)
 
 
-def replay(
-    log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue], clock: VirtualClock | None = None
-) -> list[threading.Thread]:
+def replay(log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue]) -> list[threading.Thread]:
     """Start one producer thread per sensor stream; returns started threads."""
     t0 = int(min(log.imu.t_us[0], log.baro.t_us[0], log.mag.t_us[0]))
-    streams = {
-        "imu": (log.imu.t_us, np.hstack([log.imu.gyro, log.imu.accel])),
-        "baro": (log.baro.t_us, np.column_stack([log.baro.temp_c, log.baro.alt_m])),
-        "mag": (log.mag.t_us, log.mag.mag),
-    }
     threads = []
-    for name, (t_arr, values) in streams.items():
+    for name, (t_arr, values) in sensor_samples(log).items():
         th = threading.Thread(
             target=_producer,
-            args=(t_arr, values, queues[name], clock, cfg.replay_speed, t0),
+            args=(t_arr, values, queues[name], cfg.replay_speed, t0),
             name=f"replay-{name}",
             daemon=True,
         )
@@ -161,67 +127,58 @@ def replay(
     return threads
 
 
-_SENSOR_DIMS = {"imu": 6, "baro": 2, "mag": 3}
+class _QueueReader:
+    """Drains one sensor queue up to a bin edge and remembers its end of stream."""
 
-
-class _BinCollector:
-    """Drains one sensor queue up to a bin edge, tracking seeds and EOS."""
-
-    def __init__(self, name: str, q: SensorQueue):
+    def __init__(self, name: str, q: SensorQueue, blocking: bool, timeout: float = 30.0):
         self.name = name
         self.q = q
+        self.blocking = blocking
+        self.timeout = timeout
         self.finished = False
-        self.last_mean: np.ndarray | None = None
 
-    def collect(self, edge_prev: int, edge: int, blocking: bool, timeout: float) -> list[np.ndarray]:
-        items: list[np.ndarray] = []
+    def take(self, edge: int) -> tuple[list, list, bool]:
+        t: list[int] = []
+        values: list = []
         while not self.finished:
             try:
-                item = self.q.get(timeout=timeout) if blocking else self.q.get_nowait()
+                item = self.q.get(timeout=self.timeout) if self.blocking else self.q.get_nowait()
             except queue.Empty:
-                if blocking:
-                    raise DataError(f"{self.name} producer stalled (no data for {timeout:.0f}s)")
-                return items
+                if self.blocking:
+                    raise DataError(f"{self.name} producer stalled (no data for {self.timeout:.0f}s)")
+                break
             if item is _DONE:
                 self.finished = True
-                return items
-            t, values = item
-            if t <= edge_prev:
-                # pre-bin sample: remember as the seed for an empty first bin
-                self.last_mean = np.asarray(values, dtype=np.float64).copy()
-                continue
-            if t <= edge:
-                items.append(values)
-                continue
-            self.q.push_back(item)
-            return items
-        return items
-
-    def mean(self, items: list[np.ndarray], dim: int) -> tuple[np.ndarray, bool]:
-        if items:
-            m = bin_mean(np.asarray(items, dtype=np.float64).reshape(len(items), dim))
-            self.last_mean = m
-            return m, False
-        if self.last_mean is not None:
-            return self.last_mean, True
-        return np.zeros(dim), True
+                break
+            if item[0] > edge:
+                self.q.push_back(item)
+                break
+            t.append(item[0])
+            values.append(item[1])
+        return t, values, self.finished
 
 
-def online_infer(
-    ckpt: Checkpoint,
-    queues: dict[str, SensorQueue],
-    cfg: StreamConfig,
-    clock: VirtualClock | None = None,
-    anchor_us: int | None = None,
-):
-    """Yield one OnlinePrediction per elapsed period once the window is full.
+class _ArrayReader:
+    """Hands out one sensor's logged samples up to each bin edge."""
 
-    Causal feature assembly mirrors the offline pipeline: each period closes
-    an averaging bin; barometer/magnetometer bins without samples reuse the
-    previous mean; an inertial bin without samples repeats the last one and
-    flags the prediction. The consumer alone touches the window buffer.
-    anchor_us fixes the bin grid origin; matching it to the log's first
-    estimator timestamp makes the bins identical to the offline pipeline's.
+    def __init__(self, t_us: np.ndarray, values: np.ndarray):
+        self.t_us = t_us
+        self.values = values
+        self.pos = 0
+
+    def take(self, edge: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        i = self.pos
+        self.pos = max(i, int(np.searchsorted(self.t_us, edge, side="right")))
+        return self.t_us[i : self.pos], self.values[i : self.pos], self.pos == len(self.t_us)
+
+
+def _predict(ckpt: Checkpoint, cfg: StreamConfig, anchor_us: int, readers: dict, queues: dict[str, SensorQueue]):
+    """The consumer loop: one bin per period, one prediction once the window is full.
+
+    readers[sensor].take(edge) returns the samples that arrived up to edge,
+    in time order, and whether the sensor's stream has ended. The loop stops
+    at the first period in which every stream has ended and no sample fell
+    in the bin.
     """
     meta = ckpt.meta
     window = int(meta.get("window", 0))
@@ -233,102 +190,72 @@ def online_infer(
     norm = Normalization(mean=meta["feature_mean"], std=meta["feature_std"])
     rng = np.random.default_rng(cfg.seed)
     period_us = cfg.period_ms * 1000
-    wall_mode = clock is None and cfg.replay_speed > 0
-    timeout = 30.0
-
-    collectors = {name: _BinCollector(name, q) for name, q in queues.items()}
-
-    # anchor the bin grid at the earliest timestamp across sensors
-    anchor = None if anchor_us is None else int(anchor_us)
-    if anchor is None:
-        for c in collectors.values():
-            try:
-                item = c.q.get(timeout=timeout)
-            except queue.Empty:
-                raise DataError(f"{c.name} produced no data")
-            if item is _DONE:
-                c.finished = True
-                continue
-            c.q.push_back(item)
-            t = int(item[0])
-            anchor = t if anchor is None else min(anchor, t)
-    if anchor is None:
-        return
-
+    assembler = FeatureAssembler(anchor_us)
     rows: list[np.ndarray] = []
-    prev_alt_mean: float | None = None
     wall_start = time.perf_counter()
-    edge_prev = anchor
+    edge_prev = anchor_us
     k = 0
-    try:
-        while True:
-            k += 1
-            jitter_us = int(round(rng.uniform(-cfg.jitter_ms, cfg.jitter_ms) * 1000.0)) if cfg.jitter_ms > 0 else 0
-            edge = anchor + k * period_us + jitter_us
-            if clock is not None:
-                clock.advance(edge)
-            if wall_mode:
-                deadline = wall_start + (edge - anchor) * 1e-6 / cfg.replay_speed
-                delay = deadline - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-            bins = {
-                name: c.collect(edge_prev, edge, blocking=not wall_mode, timeout=timeout)
-                for name, c in collectors.items()
-            }
-            if all(c.finished for c in collectors.values()) and not any(bins.values()):
-                return
-            t_compute = time.perf_counter()
-            imu_mean, imu_carried = collectors["imu"].mean(bins["imu"], 6)
-            baro_mean, _ = collectors["baro"].mean(bins["baro"], 2)
-            mag_mean, _ = collectors["mag"].mean(bins["mag"], 3)
-            dalt = 0.0 if prev_alt_mean is None else baro_mean[1] - prev_alt_mean
-            prev_alt_mean = baro_mean[1]
-            feature_row = np.concatenate([imu_mean, [baro_mean[0], dalt], mag_mean])
-            rows.append(norm.apply(feature_row[None, :])[0])
-            if len(rows) > window:
-                rows.pop(0)
-            edge_prev = edge
-            if len(rows) < window:
-                continue
-            x = np.stack(rows)
-            y, _ = forward(ckpt.params, x, want_tape=False)
-            latency_ms = (time.perf_counter() - t_compute) * 1e3
-            yield OnlinePrediction(
-                t_us=int(edge),
-                increment=y,
-                latency_ms=latency_ms,
-                dropped_samples=sum(q.dropped for q in queues.values()),
-                carried_imu=imu_carried,
-            )
-    finally:
-        if clock is not None:
-            clock.release()
+    while True:
+        k += 1
+        jitter_us = int(round(rng.uniform(-cfg.jitter_ms, cfg.jitter_ms) * 1000.0)) if cfg.jitter_ms > 0 else 0
+        edge = anchor_us + k * period_us + jitter_us
+        if cfg.replay_speed > 0:
+            delay = wall_start + (edge - anchor_us) * 1e-6 / cfg.replay_speed - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+        taken = {name: r.take(edge) for name, r in readers.items()}
+        ended = all(done for _, _, done in taken.values())
+        if ended and not any(len(t) and t[-1] > edge_prev for t, _, _ in taken.values()):
+            return
+        t_compute = time.perf_counter()
+        for name, (t, values, _) in taken.items():
+            assembler.add(name, t, values)
+        features, empty = assembler.close([edge])
+        rows.extend(norm.apply(features))
+        del rows[:-window]
+        edge_prev = edge
+        if len(rows) < window:
+            continue
+        y, _ = forward(ckpt.params, np.stack(rows), want_tape=False)
+        yield OnlinePrediction(
+            t_us=int(edge),
+            increment=y,
+            latency_ms=(time.perf_counter() - t_compute) * 1e3,
+            dropped_samples=sum(q.dropped for q in queues.values()),
+            carried_imu=bool(empty["imu"][-1]),
+        )
 
 
-def run_stream(
-    log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig, anchor_us: int | None = None
-) -> list[OnlinePrediction]:
+def online_infer(ckpt: Checkpoint, queues: dict[str, SensorQueue], cfg: StreamConfig, anchor_us: int):
+    """Yield one OnlinePrediction per elapsed period once the window is full.
+
+    The consumer drains each queue up to the period's bin edge, blocking at
+    replay_speed 0 and paced by the wall clock otherwise. Causal feature
+    assembly is the offline pipeline's: barometer/magnetometer bins without
+    samples reuse the previous mean; an inertial bin without samples repeats
+    the last one and flags the prediction. anchor_us fixes the bin grid
+    origin; matching it to the log's first estimator timestamp makes the
+    bins identical to the offline pipeline's.
+    """
+    readers = {name: _QueueReader(name, q, blocking=cfg.replay_speed == 0) for name, q in queues.items()}
+    return _predict(ckpt, cfg, int(anchor_us), readers, queues)
+
+
+def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[OnlinePrediction]:
     """Replay a log through the online path and collect every prediction.
 
-    The bin grid defaults to the log's first estimator timestamp so the
-    online bins line up with offline preprocessing.
+    The bin grid starts at the log's first estimator timestamp so the online
+    bins line up with offline preprocessing. At replay_speed 0 the consumer
+    reads the log's arrays and no thread is started; otherwise producer
+    threads replay the log into queues on the wall clock.
     """
-    if anchor_us is None and len(log.ekf) > 0:
-        anchor_us = int(log.ekf.t_us[0])
-    queues = make_queues(cfg)
-    clock = None
+    anchor_us = int(log.ekf.t_us[0])
     if cfg.replay_speed == 0:
-        t0 = int(min(log.imu.t_us[0], log.baro.t_us[0], log.mag.t_us[0]))
-        if anchor_us is not None:
-            t0 = min(t0, anchor_us)
-        clock = VirtualClock(start_us=t0, horizon_us=2 * cfg.period_ms * 1000)
-    threads = replay(log, cfg, queues, clock=clock)
-    try:
-        predictions = list(online_infer(ckpt, queues, cfg, clock=clock, anchor_us=anchor_us))
-    finally:
-        if clock is not None:
-            clock.release()
+        readers = {name: _ArrayReader(t, v) for name, (t, v) in sensor_samples(log).items()}
+        return list(_predict(ckpt, cfg, anchor_us, readers, {}))
+    queues = make_queues(cfg)
+    threads = replay(log, cfg, queues)
+    predictions = list(online_infer(ckpt, queues, cfg, anchor_us=anchor_us))
     for th in threads:
         th.join(timeout=30.0)
         if th.is_alive():
@@ -336,8 +263,8 @@ def run_stream(
     return predictions
 
 
-def compare_online_offline(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> dict:
-    """Run the streaming and batch paths on the same log and diff them.
+def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[OnlinePrediction]) -> dict:
+    """Diff a log's online predictions against the batch path.
 
     The offline reference predicts window by window (batch size 1) so both
     sides execute identical arithmetic; with zero jitter the deviations are
@@ -345,8 +272,7 @@ def compare_online_offline(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) 
     """
     series = unify_rates(log)
     offline = predict_increments(ckpt, series, batch_size=1)
-    online = run_stream(log, ckpt, cfg)
-    online_arr = np.array([p.increment for p in online], dtype=np.float64)
+    online_arr = np.array([p.increment for p in predictions], dtype=np.float64)
     offline_arr = offline.astype(np.float64)
     n = min(len(online_arr), len(offline_arr))
     if n == 0:
@@ -359,5 +285,5 @@ def compare_online_offline(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) 
         "max_abs_dev": [float(v) for v in dev.max(axis=0)],
         "mean_abs_dev": [float(v) for v in dev.mean(axis=0)],
         "bitwise_equal": bool(np.array_equal(online_arr[:n], offline_arr[:n])),
-        "dropped_samples": int(online[-1].dropped_samples) if online else 0,
+        "dropped_samples": int(predictions[-1].dropped_samples) if predictions else 0,
     }

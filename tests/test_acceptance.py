@@ -17,7 +17,7 @@ from navrnn.cli import main
 from navrnn.deadreckon import DeadReckonConfig, dead_reckon
 from navrnn.evaluate import predict_increments, reconstruct_path
 from navrnn.flightlog import read_flight_log
-from navrnn.preprocess import bin_mean, difference, unify_rates
+from navrnn.preprocess import difference, unify_rates
 from navrnn.rnn import (
     LossSpec,
     NetworkConfig,
@@ -27,7 +27,7 @@ from navrnn.rnn import (
     load_checkpoint,
     loss,
 )
-from navrnn.stream import StreamConfig, VirtualClock, compare_online_offline, make_queues, online_infer, replay
+from navrnn.stream import StreamConfig, compare_online_offline, make_queues, online_infer, replay, run_stream
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 from navrnn.train import TrainConfig, transfer_fit
 
@@ -176,6 +176,20 @@ def test_criterion_5_metric_fidelity():
 
 # ---------------------------------------------------------------------------
 # 6. rate unification
+
+
+def bin_mean(values: np.ndarray) -> np.ndarray:
+    """Column means of one bin, summed sequentially in sample order.
+
+    np.sum adds in pairwise blocks; this oracle adds in arrival order, as
+    np.bincount does, so it pins the summation order of the feature rows.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.zeros(len(values), dtype=np.intp)
+    out = np.empty(values.shape[1])
+    for c in range(values.shape[1]):
+        out[c] = np.bincount(idx, weights=values[:, c], minlength=1)[0]
+    return out / len(values)
 
 
 def test_criterion_6_rate_unification():
@@ -330,27 +344,27 @@ def test_criterion_8_online_offline(e2e):
     comparisons = 0
     for log_id in e2e["split"]["val"]:
         flight = detect_corrupted(read_flight_log(root / "data" / log_id), min_duration_s=60.0).trimmed
-        rep = compare_online_offline(flight, ckpt, StreamConfig(jitter_ms=0.0, replay_speed=0.0))
+        online = run_stream(flight, ckpt, StreamConfig(jitter_ms=0.0, replay_speed=0.0))
+        rep = compare_online_offline(flight, ckpt, online)
         comparisons += rep["n_compared"]
         all_equal &= rep["bitwise_equal"] and rep["dropped_samples"] == 0
 
     flight = detect_corrupted(read_flight_log(root / "data" / e2e["split"]["val"][0]), min_duration_s=60.0).trimmed
-    rep_j = compare_online_offline(flight, ckpt, StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=8))
+    online_j = run_stream(flight, ckpt, StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=8))
+    rep_j = compare_online_offline(flight, ckpt, online_j)
     jitter_dev = max(rep_j["max_abs_dev"])
     jitter_ok = np.isfinite(jitter_dev) and jitter_dev > 0.0
 
-    # capacity-1 queues with an artificially slow consumer: bounded and alive
+    # capacity-1 queues, replayed at 10x real time, with an artificially slow consumer: bounded and alive
     short = flight.crop(int(flight.ekf.t_us[0]), int(flight.ekf.t_us[0]) + 20_000_000)
-    cfg = StreamConfig(replay_speed=0.0, queue_capacity=1)
+    cfg = StreamConfig(replay_speed=10.0, queue_capacity=1)
     queues = make_queues(cfg)
-    t0 = int(min(short.imu.t_us[0], short.baro.t_us[0], short.mag.t_us[0], short.ekf.t_us[0]))
-    clock = VirtualClock(start_us=t0, horizon_us=2 * cfg.period_ms * 1000)
-    threads = replay(short, cfg, queues, clock=clock)
+    threads = replay(short, cfg, queues)
     preds = []
     done = threading.Event()
 
     def consume():
-        for p in online_infer(ckpt, queues, cfg, clock=clock, anchor_us=int(short.ekf.t_us[0])):
+        for p in online_infer(ckpt, queues, cfg, anchor_us=int(short.ekf.t_us[0])):
             preds.append(p)
             time.sleep(0.01)
         done.set()

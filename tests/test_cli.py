@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from navrnn import stream
 from navrnn.cli import main
 
 
@@ -124,7 +125,11 @@ def test_eval_rerun_byte_identical(tiny_pipeline):
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
 
-def test_stream_command(tiny_pipeline):
+def test_stream_command(tiny_pipeline, monkeypatch):
+    # the flight is replayed once, and the report describes the predictions written
+    calls = []
+    replay_once = stream.run_stream
+    monkeypatch.setattr(stream, "run_stream", lambda *args: calls.append(args) or replay_once(*args))
     split = json.loads((tiny_pipeline / "pre" / "split.json").read_text())
     log_id = split["val"][0]
     cfg = _write_config(
@@ -142,6 +147,8 @@ def test_stream_command(tiny_pipeline):
     lines = (out / "online_predictions.csv").read_text().splitlines()
     assert lines[0].startswith("t_us,dpn")
     assert len(lines) > 10
+    assert len(calls) == 1
+    assert report["n_online"] == len(lines) - 1
 
 
 def test_unknown_flag_exits_one():
@@ -200,5 +207,5 @@ def test_help_lists_flags(capsys):
         main(["eval", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--config", "--out", "--seed", "--jobs", "--baseline"):
+    for flag in ("--config", "--out", "--seed", "--baseline"):
         assert flag in out

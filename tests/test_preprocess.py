@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from navrnn.errors import ConfigError, DataError, EmptyBinError, NoTakeoffError
 from navrnn.flightlog import BaroStream, EkfStream, FlightLog, ImuStream, MagStream
 from navrnn.preprocess import (
+    FeatureAssembler,
     Normalization,
-    bin_mean,
     build_dataset,
     compute_signal_weights,
     detect_corrupted,
@@ -15,6 +17,7 @@ from navrnn.preprocess import (
     load_windows,
     make_windows,
     save_windows,
+    sensor_samples,
     split_dataset,
     trim_ground_time,
     unify_rates,
@@ -109,6 +112,27 @@ class TestUnifyRates:
         idx = np.searchsorted(t_edges, log.mag.t_us, side="left") - 1
         counted = np.sum((idx >= 0) & (idx < len(series)))
         assert counted == inside
+
+    def test_assembler_fed_per_edge_matches_whole_log(self, noisy_logs):
+        # the barometer starts 0.5 s late and the magnetometer has a 1 s gap
+        log = noisy_logs[0]
+        t_edges = log.ekf.t_us
+        b, m = log.baro, log.mag
+        kb = b.t_us >= t_edges[0] + 500_000
+        km = (m.t_us < 20_000_000) | (m.t_us > 21_000_000)
+        log = replace(log, baro=BaroStream(b.t_us[kb], b.temp_c[kb], b.alt_m[kb]), mag=MagStream(m.t_us[km], m.mag[km]))
+        series = unify_rates(log)
+        assert series.baro_carried >= 2 and series.mag_carried >= 4
+        assembler = FeatureAssembler(t_edges[0])
+        samples = sensor_samples(log)
+        rows = []
+        for lo, hi in zip(t_edges[:-1], t_edges[1:]):
+            for name, (t, v) in samples.items():
+                inside = (t > lo) & (t <= hi) if lo > t_edges[0] else t <= hi
+                assembler.add(name, t[inside], v[inside])
+            features, _ = assembler.close([hi])
+            rows.extend(features)
+        np.testing.assert_array_equal(np.array(rows), series.features)
 
     def test_empty_imu_bin_is_fatal(self):
         t_ekf = np.array([0, 200000, 400000], dtype=np.int64)
@@ -319,6 +343,17 @@ class TestWindows:
         assert back.window_size == 25 and back.stride == 2
         assert back.source_logs == ds.source_logs
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["{not json", "[]", '{"stride": "x"}', '{"source_logs": 5}'],
+        ids=["not_json", "not_an_object", "bad_stride", "bad_source_logs"],
+    )
+    def test_malformed_sidecar(self, tmp_path, noisy_logs, sidecar):
+        save_windows(build_dataset([unify_rates(noisy_logs[0])], window=25), tmp_path / "w.bin")
+        (tmp_path / "w.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(DataError, match="w.json"):
+            load_windows(tmp_path / "w.bin")
+
     def test_windows_file_truncation(self, tmp_path, noisy_logs):
         series = [unify_rates(noisy_logs[0])]
         ds = build_dataset(series, window=25)
@@ -365,9 +400,19 @@ class TestSplit:
 
 
 def test_bin_mean_matches_unify_accumulation(rng):
-    values = rng.standard_normal((23, 4))
-    sums = np.array([np.bincount(np.zeros(23, dtype=np.intp), weights=values[:, c])[0] for c in range(4)])
-    np.testing.assert_array_equal(bin_mean(values), sums / 23)
+    # one bin of 23 inertial samples: its mean is their arrival-order sum over the count
+    values = rng.standard_normal((23, 6))
+    t = np.arange(1, 24, dtype=np.int64) * 8000
+    series = unify_rates(
+        _log_from_arrays(
+            t, values[:, :3], values[:, 3:],
+            t, np.zeros(23), np.zeros(23),
+            t, np.zeros((23, 3)),
+            np.array([0, 200000], dtype=np.int64), np.zeros((2, 3)), np.zeros((2, 3)),
+        )
+    )
+    sums = np.array([np.bincount(np.zeros(23, dtype=np.intp), weights=values[:, c])[0] for c in range(6)])
+    np.testing.assert_array_equal(series.features[0, :6], sums / 23)
 
 
 def test_normalization_guard():

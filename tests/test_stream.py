@@ -1,22 +1,24 @@
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from navrnn.errors import ConfigError
 from navrnn.evaluate import predict_increments
+from navrnn.flightlog import BaroStream, validate_log
 from navrnn.preprocess import unify_rates
 from navrnn.stream import (
     SensorQueue,
     StreamConfig,
-    VirtualClock,
     compare_online_offline,
     make_queues,
     online_infer,
     replay,
     run_stream,
 )
+from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 
 
 class TestSensorQueue:
@@ -44,7 +46,7 @@ class TestReplay:
         cfg = StreamConfig(replay_speed=0.0, queue_capacity=100000)
         queues = make_queues(cfg)
         t0 = time.perf_counter()
-        threads = replay(log, cfg, queues, clock=None)
+        threads = replay(log, cfg, queues)
         for th in threads:
             th.join(timeout=30)
         assert time.perf_counter() - t0 < 0.2 * log.duration_s
@@ -65,10 +67,10 @@ class TestReplay:
         log = small_ckpt["val_log"].crop(0, 12_000_000)
         cfg = StreamConfig(replay_speed=4.0, queue_capacity=4096)
         queues = make_queues(cfg)
-        threads = replay(log, cfg, queues, clock=None)
+        threads = replay(log, cfg, queues)
         t_wall = []
         preds = []
-        for p in online_infer(small_ckpt["ckpt"], queues, cfg, clock=None, anchor_us=0):
+        for p in online_infer(small_ckpt["ckpt"], queues, cfg, anchor_us=0):
             t_wall.append(time.perf_counter())
             preds.append(p)
         for th in threads:
@@ -81,17 +83,17 @@ class TestReplay:
 
 class TestOnlineInference:
     def test_bitwise_equivalence_zero_jitter(self, small_ckpt):
-        report = compare_online_offline(
-            small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(jitter_ms=0.0, replay_speed=0.0)
-        )
+        log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
+        report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig(jitter_ms=0.0, replay_speed=0.0)))
         assert report["bitwise_equal"]
         assert report["dropped_samples"] == 0
         assert max(report["max_abs_dev"]) == 0.0
 
     def test_jitter_deviation_bounded_and_deterministic(self, small_ckpt):
         cfg = StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=5)
-        r1 = compare_online_offline(small_ckpt["val_log"], small_ckpt["ckpt"], cfg)
-        r2 = compare_online_offline(small_ckpt["val_log"], small_ckpt["ckpt"], cfg)
+        log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
+        r1 = compare_online_offline(log, ckpt, run_stream(log, ckpt, cfg))
+        r2 = compare_online_offline(log, ckpt, run_stream(log, ckpt, cfg))
         assert not r1["bitwise_equal"]
         assert 0.0 < max(r1["max_abs_dev"]) < 10.0
         assert r1["max_abs_dev"] == r2["max_abs_dev"]  # seeded jitter is reproducible
@@ -121,15 +123,15 @@ class TestOnlineInference:
 
     def test_capacity_one_slow_consumer_no_deadlock(self, small_ckpt):
         log = small_ckpt["val_log"].crop(0, 20_000_000)
-        cfg = StreamConfig(replay_speed=0.0, queue_capacity=1)
+        # at 10x real time the consumer drains every 20 ms, ~17 IMU samples into a 1-slot queue
+        cfg = StreamConfig(replay_speed=10.0, queue_capacity=1)
         queues = make_queues(cfg)
-        clock = VirtualClock(start_us=0, horizon_us=2 * cfg.period_ms * 1000)
-        threads = replay(log, cfg, queues, clock=clock)
+        threads = replay(log, cfg, queues)
         preds = []
         done = threading.Event()
 
         def consume():
-            for p in online_infer(small_ckpt["ckpt"], queues, cfg, clock=clock, anchor_us=0):
+            for p in online_infer(small_ckpt["ckpt"], queues, cfg, anchor_us=0):
                 preds.append(p)
                 time.sleep(0.01)  # artificially slow consumer
             done.set()
@@ -145,6 +147,36 @@ class TestOnlineInference:
         # queues stayed bounded by construction; drops were counted instead
         for q in queues.values():
             assert q._q.qsize() <= 1
+
+    def test_queue_path_matches_offline(self, small_ckpt):
+        # the wall-clock harness's queue draining, checked bitwise with no sample dropped
+        log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
+        cfg = StreamConfig(replay_speed=0.0, queue_capacity=len(log.imu) + 1)
+        queues = make_queues(cfg)
+        for th in replay(log, cfg, queues):
+            th.join(timeout=30)
+            assert not th.is_alive()
+        preds = list(online_infer(ckpt, queues, cfg, anchor_us=int(log.ekf.t_us[0])))
+        report = compare_online_offline(log, ckpt, preds)
+        assert report["bitwise_equal"]
+        assert report["dropped_samples"] == 0
+        assert report["n_online"] >= report["n_offline"]
+
+    def test_late_barometer_matches_offline(self, small_ckpt):
+        # the barometer's first sample comes 0.5 s after the first bin edge:
+        # its leading empty bins take that sample, online as offline
+        full = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=31, noise=NoiseConfig.low_cost()))
+        b = full.baro
+        keep = b.t_us >= full.ekf.t_us[0] + 500_000
+        log = replace(full, baro=BaroStream(b.t_us[keep], b.temp_c[keep], b.alt_m[keep]))
+        assert validate_log(log).ok
+        ckpt = small_ckpt["ckpt"]
+        report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
+        assert report["bitwise_equal"]
+
+    def test_closed_loop_starts_no_thread(self, small_ckpt, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"{self.name} started"))
+        assert run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
 
     def test_period_mismatch_rejected(self, small_ckpt):
         with pytest.raises(ConfigError, match="ms"):
