@@ -9,7 +9,6 @@ failure. NAV_LOG_LEVEL controls verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
 from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError
-from .flightlog import read_flight_log
+from .flightlog import read_flight_log, read_json_object, write_json, write_table
 
 log = logging.getLogger("navrnn")
 
@@ -39,82 +38,73 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+_REQUIRED = object()
+
+
+def _get(config: dict, key: str, kind=str, default=_REQUIRED):
+    """config[key] converted by kind (str, int, float, dict or list); a missing
+    or null key gives default. A missing required key, or a value that kind
+    cannot convert, raises ConfigError naming the key."""
+    value = config.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs {key!r}")
+        return default
     try:
-        with open(p, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _build(cls, fields, what: str):
+    """cls(**fields); an unknown field or a bad value raises ConfigError."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} config: {exc}") from exc
 
 
 def _noise_from_config(value) -> synth.NoiseConfig:
-    if value is None:
+    if value is None or value == "none":
         return synth.NoiseConfig()
+    if value == "low_cost":
+        return synth.NoiseConfig.low_cost()
     if isinstance(value, str):
-        if value == "low_cost":
-            return synth.NoiseConfig.low_cost()
-        if value == "none":
-            return synth.NoiseConfig()
         raise ConfigError(f"unknown noise preset {value!r}")
-    if isinstance(value, dict):
-        value = dict(value)
-        for key in ("gyro_bias_vec", "accel_bias_vec"):
-            if value.get(key) is not None:
-                value[key] = tuple(value[key])
-        try:
-            return synth.NoiseConfig(**value)
-        except TypeError as exc:
-            raise ConfigError(f"bad noise config: {exc}") from exc
-    raise ConfigError("noise must be a preset name or an object")
+    return _build(synth.NoiseConfig, value, "noise")
+
+
+def _synth_cfg(entry: dict) -> synth.SynthConfig:
+    fields = dict(entry, noise=_noise_from_config(entry.get("noise")))
+    if entry.get("rates_hz") is not None:
+        fields["rates_hz"] = _build(synth.Rates, entry["rates_hz"], "rates_hz")
+    return _build(synth.SynthConfig, fields, "flight")
 
 
 def _synth_cfgs(config: dict, seed_override: int | None) -> list[synth.SynthConfig]:
-    cfgs: list[synth.SynthConfig] = []
-
-    def build(entry: dict, seed: int) -> synth.SynthConfig:
-        entry = dict(entry)
-        noise = _noise_from_config(entry.pop("noise", None))
-        rates = entry.pop("rates_hz", None)
-        kwargs = dict(entry)
-        kwargs["noise"] = noise
-        kwargs["seed"] = seed
-        if rates is not None:
-            kwargs["rates_hz"] = synth.Rates(**rates)
-        try:
-            return synth.SynthConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad flight config: {exc}") from exc
-
+    """One SynthConfig per 'flights' entry and per 'batch' member."""
     base_seed = seed_override if seed_override is not None else 0
-    for i, entry in enumerate(config.get("flights", [])):
-        seed = entry.get("seed", base_seed + i)
-        cfgs.append(build({k: v for k, v in entry.items() if k != "seed"}, seed))
-    batch = config.get("batch")
+    entries = []
+    for i, flight in enumerate(_get(config, "flights", list, [])):
+        if not isinstance(flight, dict):
+            raise ConfigError("each 'flights' entry must be an object")
+        entries.append({"seed": base_seed + i, **flight})
+    batch = _get(config, "batch", dict, None)
     if batch is not None:
-        batch = dict(batch)
-        count = int(batch.pop("count", 0))
-        profiles = batch.pop("profiles", ["circle"])
-        seed0 = int(batch.pop("seed", base_seed))
-        for i in range(count):
-            entry = dict(batch)
-            entry["profile"] = profiles[i % len(profiles)]
-            cfgs.append(build(entry, seed0 + i))
-    if not cfgs:
+        count = _get(batch, "count", int, 0)
+        profiles = _get(batch, "profiles", list, ["circle"])
+        if count > 0 and not profiles:
+            raise ConfigError("batch 'profiles' must not be empty")
+        seed0 = _get(batch, "seed", int, base_seed)
+        common = {k: v for k, v in batch.items() if k not in ("count", "profiles", "seed")}
+        entries += [dict(common, profile=profiles[i % len(profiles)], seed=seed0 + i) for i in range(count)]
+    if not entries:
         raise ConfigError("synth config needs 'flights' and/or 'batch'")
-    return cfgs
+    return [_synth_cfg(e) for e in entries]
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, ConfigError)
     out = Path(args.out)
     cfgs = _synth_cfgs(config, args.seed)
     manifest = synth.make_dataset(cfgs, out)
@@ -123,31 +113,36 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _clean_log(manifest: synth.DatasetManifest, entry: synth.LogEntry, config: dict) -> preprocess.CleanupVerdict:
-    """Read one log and run cleanup on it; a log that fails its invariant
-    checks on load (NaN, non-increasing timestamps, ...) is rejected as
-    validation_defects instead of ending the run."""
+def _cleanup_options(config: dict) -> dict:
+    """detect_corrupted keyword arguments from a preprocess or eval config."""
+    trim = _get(config, "trim", dict, {})
+    return {
+        "max_gap_s": _get(config, "max_gap_s", float, 1.0),
+        "min_duration_s": _get(config, "min_duration_s", float, 60.0),
+        "vel_thresh_mps": _get(trim, "vel_thresh_mps", float, 0.5),
+        "hold_s": _get(trim, "hold_s", float, 1.0),
+    }
+
+
+def _clean_log(manifest: synth.DatasetManifest, entry: synth.LogEntry, options: dict) -> preprocess.CleanupVerdict:
+    """Read one log and run cleanup on it; a log that cannot be read (missing
+    or malformed files) or fails its invariant checks on load (NaN,
+    non-increasing timestamps, ...) is rejected as validation_defects
+    instead of ending the run."""
     try:
         flight = read_flight_log(manifest.log_path(entry))
-    except ValidationError as exc:
+    except (DataError, ValidationError) as exc:
         log.warning("rejecting %s: %s", entry.log_id, exc)
         return preprocess.CleanupVerdict(log_id=entry.log_id, accepted=False, reasons=["validation_defects"])
-    trim = config.get("trim", {})
-    return preprocess.detect_corrupted(
-        flight,
-        max_gap_s=float(config.get("max_gap_s", 1.0)),
-        min_duration_s=float(config.get("min_duration_s", 60.0)),
-        vel_thresh_mps=float(trim.get("vel_thresh_mps", 0.5)),
-        hold_s=float(trim.get("hold_s", 1.0)),
-    )
+    return preprocess.detect_corrupted(flight, **options)
 
 
-def _clean_logs(manifest: synth.DatasetManifest, config: dict):
+def _clean_logs(manifest: synth.DatasetManifest, options: dict):
     """Run cleanup on every log; returns (kept entries+logs, verdicts)."""
     kept = []
     verdicts = []
     for entry in manifest.logs:
-        verdict = _clean_log(manifest, entry, config)
+        verdict = _clean_log(manifest, entry, options)
         verdicts.append(verdict)
         if verdict.accepted:
             kept.append((entry, verdict.trimmed))
@@ -155,17 +150,19 @@ def _clean_logs(manifest: synth.DatasetManifest, config: dict):
 
 
 def cmd_preprocess(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, ConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = synth.DatasetManifest.load(config["dataset"])
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    window = int(config.get("window", 200))
-    stride = int(config.get("stride", 1))
-    val_fraction = float(config.get("val_fraction", 0.15))
+    manifest = synth.DatasetManifest.load(_get(config, "dataset"))
+    seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
+    window = _get(config, "window", int, 200)
+    stride = _get(config, "stride", int, 1)
+    val_stride = _get(config, "val_stride", int, stride)
+    val_fraction = _get(config, "val_fraction", float, 0.15)
+    trim = _get(config, "trim", dict, {})
 
-    kept, verdicts = _clean_logs(manifest, config)
-    _write_json(
+    kept, verdicts = _clean_logs(manifest, _cleanup_options(config))
+    write_json(
         {
             "input_count": len(manifest.logs),
             "accepted_count": len(kept),
@@ -187,16 +184,15 @@ def cmd_preprocess(args) -> int:
     period_ms = int(round(float(np.median(np.diff(train_series[0].t_us))) / 1000.0))
     provenance = {
         "dataset": str(manifest.root),
-        "trim": config.get("trim", {}),
+        "trim": trim,
         "period_ms": period_ms,
         "seed": seed,
     }
     train_ds = preprocess.build_dataset(train_series, window, stride, norm, weights)
     preprocess.save_windows(train_ds, out / "train_windows.bin", provenance)
-    val_stride = int(config.get("val_stride", stride))
     val_ds = preprocess.build_dataset(val_series, window, val_stride, norm, weights)
     preprocess.save_windows(val_ds, out / "val_windows.bin", provenance)
-    _write_json(
+    write_json(
         {
             "train": [e.log_id for e in train_entries],
             "val": [e.log_id for e in val_entries],
@@ -212,38 +208,22 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, ConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds = preprocess.load_windows(config["train_windows"])
-    val_ds = preprocess.load_windows(config["val_windows"]) if config.get("val_windows") else None
+    train_ds = preprocess.load_windows(_get(config, "train_windows"))
+    val_path = _get(config, "val_windows", str, "")
+    val_ds = preprocess.load_windows(val_path) if val_path else None
 
-    sidecar_path = Path(config["train_windows"]).with_suffix(".json")
-    sidecar = {}
-    if sidecar_path.is_file():
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-
-    net_cfg_dict = dict(config.get("network", {}))
-    net_cfg_dict.setdefault("input_size", train_ds.windows.shape[2])
-    net_cfg_dict.setdefault("output_size", train_ds.labels.shape[1])
-    try:
-        net_cfg = rnn.NetworkConfig(**net_cfg_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad network config: {exc}") from exc
-
-    train_cfg_dict = dict(config.get("train", {}))
-    if "lr_schedule" in train_cfg_dict:
-        train_cfg_dict["lr_schedule"] = tuple(tuple(e) for e in train_cfg_dict["lr_schedule"])
+    net_fields = {"input_size": train_ds.windows.shape[2], "output_size": train_ds.labels.shape[1]}
+    net_cfg = _build(rnn.NetworkConfig, dict(net_fields, **_get(config, "network", dict, {})), "network")
+    train_fields = _get(config, "train", dict, {})
     if args.seed is not None:
-        train_cfg_dict["shuffle_seed"] = args.seed
-    try:
-        train_cfg = train.TrainConfig(**train_cfg_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
+        train_fields["shuffle_seed"] = args.seed
+    train_cfg = _build(train.TrainConfig, train_fields, "train")
 
-    init_seed = int(config.get("init_seed", args.seed if args.seed is not None else 0))
-    transfer_from = config.get("transfer_from")
+    init_seed = _get(config, "init_seed", int, args.seed if args.seed is not None else 0)
+    transfer_from = _get(config, "transfer_from", str, "")
     if transfer_from:
         source = rnn.load_checkpoint(transfer_from)
         params, report = train.transfer_fit(source, train_ds, val_ds, train_cfg)
@@ -254,7 +234,7 @@ def cmd_train(args) -> int:
 
     meta = {
         "window": train_ds.window_size,
-        "period_ms": int(sidecar.get("period_ms", 200)),
+        "period_ms": train_ds.period_ms,
         "feature_mean": [float(v) for v in train_ds.normalization.mean],
         "feature_std": [float(v) for v in train_ds.normalization.std],
         "loss_weights": [float(v) for v in train_ds.weights],
@@ -271,29 +251,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, ConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = rnn.load_checkpoint(config["checkpoint"])
-    manifest = synth.DatasetManifest.load(config["dataset"])
+    ckpt = rnn.load_checkpoint(_get(config, "checkpoint"))
+    manifest = synth.DatasetManifest.load(_get(config, "dataset"))
+    cleanup = _cleanup_options(config)
 
-    log_ids = config.get("logs")
-    if not log_ids and config.get("split"):
-        with open(config["split"], "r", encoding="utf-8") as fh:
-            log_ids = json.load(fh)["val"]
-    entries = [e for e in manifest.logs if not log_ids or e.log_id in set(log_ids)]
+    wanted = _get(config, "logs", list, None) or None
+    split_path = _get(config, "split", str, "")
+    if wanted is None and split_path:
+        wanted = read_json_object(split_path).get("val")
+        if not isinstance(wanted, list):
+            raise DataError(f"{split_path}: split has no 'val' list of log ids")
+    entries = [e for e in manifest.logs if wanted is None or e.log_id in wanted]
     if not entries:
         raise DataError("no logs selected for evaluation")
 
     run_baseline = bool(args.baseline or config.get("baseline"))
-    dr_cfg = deadreckon.DeadReckonConfig(**config.get("deadreckon", {})) if run_baseline else None
+    dr_cfg = _build(deadreckon.DeadReckonConfig, config.get("deadreckon", {}), "deadreckon") if run_baseline else None
 
     metrics_dir = out / "metrics"
     metrics_dir.mkdir(exist_ok=True)
     all_metrics = []
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
-        verdict = _clean_log(manifest, entry, config)
+        verdict = _clean_log(manifest, entry, cleanup)
         if not verdict.accepted:
             log.warning("skipping %s: %s", entry.log_id, ",".join(verdict.reasons))
             continue
@@ -312,7 +295,7 @@ def cmd_eval(args) -> int:
     summary = {"nn": evaluate.aggregate_metrics(all_metrics)}
     if run_baseline:
         summary["deadreckon"] = evaluate.aggregate_metrics(baseline_metrics)
-    _write_json(summary, out / "summary.json")
+    write_json(summary, out / "summary.json")
     med = summary["nn"]["mpe_m"]["median"]
     line = f"eval: {len(all_metrics)} flights, median MPE {med:.3f} m"
     if run_baseline:
@@ -322,27 +305,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, ConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = rnn.load_checkpoint(config["checkpoint"])
-    flight = read_flight_log(config["log"])
-    stream_cfg_dict = dict(config.get("stream", {}))
+    ckpt = rnn.load_checkpoint(_get(config, "checkpoint"))
+    flight = read_flight_log(_get(config, "log"))
+    stream_fields = _get(config, "stream", dict, {})
     if args.seed is not None:
-        stream_cfg_dict["seed"] = args.seed
-    try:
-        cfg = stream.StreamConfig(**stream_cfg_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad stream config: {exc}") from exc
+        stream_fields["seed"] = args.seed
+    cfg = _build(stream.StreamConfig, stream_fields, "stream")
 
     predictions = stream.run_stream(flight, ckpt, cfg)
-    with open(out / "online_predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_us,dpn,dpe,dpd,dvn,dve,dvd,latency_ms,dropped_samples\n")
-        for p in predictions:
-            vals = ",".join(format(float(v), ".17g") for v in p.increment)
-            fh.write(f"{p.t_us},{vals},{p.latency_ms:.3f},{p.dropped_samples}\n")
+    write_table(
+        out / "online_predictions.csv",
+        "t_us,dpn,dpe,dpd,dvn,dve,dvd,latency_ms,dropped_samples",
+        [p.t_us for p in predictions],
+        [[*p.increment, p.latency_ms, p.dropped_samples] for p in predictions],
+    )
     report = stream.compare_online_offline(flight, ckpt, predictions)
-    _write_json(report, out / "compare_report.json")
+    write_json(report, out / "compare_report.json")
     print(
         f"stream: {len(predictions)} predictions, max offline deviation "
         f"{max(report['max_abs_dev']):.3g} -> {out}"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quat
 from .errors import ConfigError, DataError
-from .flightlog import FlightLog
+from .flightlog import FlightLog, write_table
 
 GRAVITY_MPS2 = 9.80665
 EARTH_RATE_RADPS = 7.292115e-5
@@ -92,12 +92,7 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         header = "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd"
-        cols = np.hstack([self.quat, self.vel_ned, self.pos_ned])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self.t_us)):
-                vals = ",".join(format(v, ".17g") for v in cols[i])
-                fh.write(f"{int(self.t_us[i])},{vals}\n")
+        write_table(path, header, self.t_us, np.hstack([self.quat, self.vel_ned, self.pos_ned]))
 
 
 def dead_reckon(log: FlightLog, cfg: DeadReckonConfig | None = None, init: NavState | None = None) -> Trajectory:

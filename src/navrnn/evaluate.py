@@ -10,7 +10,6 @@ velocity error (MVE).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .deadreckon import DeadReckonConfig, NavState, dead_reckon
 from .errors import ConfigError, DataError
-from .flightlog import FlightLog
+from .flightlog import FlightLog, write_json, write_table
 from .preprocess import Normalization, UnifiedSeries, gather_windows, unify_rates, window_count
 from .rnn import Checkpoint, predict
 
@@ -104,18 +103,11 @@ class FlightMetrics:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def write_path_compare(self, path: str | Path) -> None:
         header = "t_us,true_pn,true_pe,true_pd,pred_pn,pred_pe,pred_pd,true_vn,true_ve,true_vd,pred_vn,pred_ve,pred_vd"
-        cols = np.hstack([self.true_pos, self.pred_pos, self.true_vel, self.pred_vel])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self.t_us)):
-                vals = ",".join(format(v, ".17g") for v in cols[i])
-                fh.write(f"{int(self.t_us[i])},{vals}\n")
+        write_table(path, header, self.t_us, np.hstack([self.true_pos, self.pred_pos, self.true_vel, self.pred_vel]))
 
 
 def _metrics_from_series(

@@ -6,12 +6,16 @@ estimator's state output (quaternion attitude, NED velocity and position).
 Timestamps are integer microseconds from log start. On disk a log is a
 directory of four CSV files plus a JSON manifest; floats are written with
 17 significant digits so the decimal round trip is bit exact.
+
+The same text codec serves every JSON and CSV file the toolkit reads or
+writes: `write_json`/`read_json_object` and `write_table`/`read_table`.
+A file the readers cannot parse raises one error that names the file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -222,44 +226,63 @@ def _value_arrays(stream) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# container IO
+# text codec
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits guarantee exact decimal round trip of float64
-    return format(float(x), ".17g")
+def write_json(payload, path: str | Path) -> None:
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _write_csv(path: Path, header: str, t_us: np.ndarray, columns: list[np.ndarray]) -> None:
+def read_json_object(path: str | Path, error: type[Exception] = DataError) -> dict:
+    """Read a JSON object; a missing file, invalid UTF-8 or JSON, or a value
+    that is not an object raises error, naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"missing file: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{path}: expected a JSON object")
+    return payload
+
+
+def write_table(path: str | Path, header: str, t_us: np.ndarray, values: np.ndarray) -> None:
+    """Write a CSV table: integer times, then float columns at 17 significant
+    digits (an exact decimal round trip of float64)."""
+    row = "%d" + ",%.17g" * header.count(",") + "\n"
+    times = np.asarray(t_us).tolist()
+    rows = np.asarray(values, dtype=np.float64).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(len(t_us)):
-            row = [str(int(t_us[i]))] + [_fmt(c[i]) for c in columns]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row % (t, *v) for t, v in zip(times, rows))
 
 
-def _read_csv(path: Path, expected_header: str) -> tuple[np.ndarray, np.ndarray]:
+def read_table(path: str | Path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a table written by write_table as (int64 times, [n, d] floats);
+    a missing file, a wrong header or any unparsable row raises DataError."""
+    path = Path(path)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    ncols = expected_header.count(",") + 1
-    times: list[int] = []
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header) != expected_header:
-            raise DataError(f"{path}: bad header, expected {expected_header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != ncols:
-                raise DataError(f"{path}:{lineno}: expected {ncols} fields, got {len(row)}")
-            try:
-                times.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed value ({exc})") from exc
-    t = np.asarray(times, dtype=np.int64)
-    vals = np.asarray(rows, dtype=np.float64).reshape(len(times), ncols - 1)
-    return t, vals
+    d = header.count(",")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != header:
+                raise DataError(f"{path}: bad header, expected {header!r}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table without rows
+                rows = np.loadtxt(fh, dtype=[("t", "<i8"), ("v", "<f8", (d,))], delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:  # a bad value, a wrong field count or invalid UTF-8
+        raise DataError(f"{path}: malformed table ({exc})") from exc
+    return rows["t"], rows["v"]
+
+
+# ---------------------------------------------------------------------------
+# container IO
 
 
 def write_flight_log(log: FlightLog, path: str | Path) -> None:
@@ -274,55 +297,32 @@ def write_flight_log(log: FlightLog, path: str | Path) -> None:
         "source": log.source,
         "home_lat_deg": log.home_lat_deg,
     }
-    with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_csv(root / "imu.csv", _CSV_HEADERS["imu"], log.imu.t_us, [log.imu.gyro[:, i] for i in range(3)] + [log.imu.accel[:, i] for i in range(3)])
-    _write_csv(root / "baro.csv", _CSV_HEADERS["baro"], log.baro.t_us, [log.baro.temp_c, log.baro.alt_m])
-    _write_csv(root / "mag.csv", _CSV_HEADERS["mag"], log.mag.t_us, [log.mag.mag[:, i] for i in range(3)])
-    _write_csv(
-        root / "ekf.csv",
-        _CSV_HEADERS["ekf"],
-        log.ekf.t_us,
-        [log.ekf.quat[:, i] for i in range(4)]
-        + [log.ekf.vel_ned[:, i] for i in range(3)]
-        + [log.ekf.pos_ned[:, i] for i in range(3)],
-    )
+    write_json(manifest, root / "manifest.json")
+    for name, stream in log.streams():
+        write_table(root / f"{name}.csv", _CSV_HEADERS[name], stream.t_us, np.column_stack(_value_arrays(stream)))
 
 
 def read_flight_log(path: str | Path) -> FlightLog:
     """Read a log directory; all invariants are re-checked on load."""
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json_object(root / "manifest.json")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-
-    t_imu, v_imu = _read_csv(root / "imu.csv", _CSV_HEADERS["imu"])
-    t_baro, v_baro = _read_csv(root / "baro.csv", _CSV_HEADERS["baro"])
-    t_mag, v_mag = _read_csv(root / "mag.csv", _CSV_HEADERS["mag"])
-    t_ekf, v_ekf = _read_csv(root / "ekf.csv", _CSV_HEADERS["ekf"])
-
-    try:
-        log = FlightLog(
-            log_id=str(manifest.get("log_id", root.name)),
-            vehicle_type=str(manifest.get("vehicle_type", "unknown")),
-            source=str(manifest.get("source", "recorded")),
-            imu=ImuStream(t_imu, v_imu[:, 0:3], v_imu[:, 3:6]),
-            baro=BaroStream(t_baro, v_baro[:, 0], v_baro[:, 1]),
-            mag=MagStream(t_mag, v_mag[:, 0:3]),
-            ekf=EkfStream(t_ekf, v_ekf[:, 0:4], v_ekf[:, 4:7], v_ekf[:, 7:10]),
-            home_lat_deg=manifest.get("home_lat_deg"),
-        )
-    except IndexError as exc:
-        raise DataError(f"{root}: truncated stream data ({exc})") from exc
+    t_imu, v_imu = read_table(root / "imu.csv", _CSV_HEADERS["imu"])
+    t_baro, v_baro = read_table(root / "baro.csv", _CSV_HEADERS["baro"])
+    t_mag, v_mag = read_table(root / "mag.csv", _CSV_HEADERS["mag"])
+    t_ekf, v_ekf = read_table(root / "ekf.csv", _CSV_HEADERS["ekf"])
+    log = FlightLog(
+        log_id=str(manifest.get("log_id", root.name)),
+        vehicle_type=str(manifest.get("vehicle_type", "unknown")),
+        source=str(manifest.get("source", "recorded")),
+        imu=ImuStream(t_imu, v_imu[:, 0:3], v_imu[:, 3:6]),
+        baro=BaroStream(t_baro, v_baro[:, 0], v_baro[:, 1]),
+        mag=MagStream(t_mag, v_mag),
+        ekf=EkfStream(t_ekf, v_ekf[:, 0:4], v_ekf[:, 4:7], v_ekf[:, 7:10]),
+        home_lat_deg=manifest.get("home_lat_deg"),
+    )
     log.check()
     return log
 

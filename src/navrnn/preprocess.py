@@ -10,7 +10,6 @@ network. Raw measurements are never filtered.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError
-from .flightlog import EkfState, FlightLog, validate_log
+from .flightlog import EkfState, FlightLog, read_json_object, validate_log, write_json
 from .synth import DatasetManifest, LogEntry
 
 FEATURE_NAMES = ("gx", "gy", "gz", "ax", "ay", "az", "temp_c", "dalt_m", "mx", "my", "mz")
@@ -332,6 +331,7 @@ class WindowedDataset:
     stride: int
     normalization: Normalization
     source_logs: list[str] = field(default_factory=list)
+    period_ms: int = 200  # label period the source series were binned at
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float32)
@@ -461,9 +461,7 @@ def save_windows(dataset: WindowedDataset, path: str | Path, provenance: dict | 
     }
     if provenance:
         sidecar.update(provenance)
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, path.with_suffix(".json"))
 
 
 def load_windows(path: str | Path) -> WindowedDataset:
@@ -490,19 +488,13 @@ def load_windows(path: str | Path) -> WindowedDataset:
     o3 = o2 + lab
     o4 = o3 + f
     sidecar_path = path.with_suffix(".json")
-    meta = {}
-    if sidecar_path.is_file():
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"{sidecar_path}: invalid JSON ({exc})") from exc
-        if not isinstance(meta, dict):
-            raise DataError(f"{sidecar_path}: expected a JSON object")
+    meta = read_json_object(sidecar_path) if sidecar_path.is_file() else {}
     stride = meta.get("stride", 1)
+    period_ms = meta.get("period_ms", WindowedDataset.period_ms)
+    for key, value in (("stride", stride), ("period_ms", period_ms)):
+        if type(value) is not int or value < 1:
+            raise DataError(f"{sidecar_path}: {key} must be a positive integer, got {value!r}")
     source_logs = meta.get("source_logs", [])
-    if type(stride) is not int or stride < 1:
-        raise DataError(f"{sidecar_path}: stride must be a positive integer, got {stride!r}")
     if not isinstance(source_logs, list) or not all(isinstance(s, str) for s in source_logs):
         raise DataError(f"{sidecar_path}: source_logs must be a list of log ids")
     return WindowedDataset(
@@ -513,4 +505,5 @@ def load_windows(path: str | Path) -> WindowedDataset:
         stride=stride,
         normalization=Normalization(mean=arr[o3:o4].copy(), std=arr[o4:].copy()),
         source_logs=source_logs,
+        period_ms=period_ms,
     )

@@ -14,7 +14,6 @@ biases and white Gaussian noise are added afterwards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,16 @@ from scipy.interpolate import CubicSpline
 from . import quat
 from .deadreckon import GRAVITY_MPS2
 from .errors import ConfigError, DataError
-from .flightlog import BaroStream, EkfStream, FlightLog, ImuStream, MagStream, write_flight_log
+from .flightlog import (
+    BaroStream,
+    EkfStream,
+    FlightLog,
+    ImuStream,
+    MagStream,
+    read_json_object,
+    write_flight_log,
+    write_json,
+)
 
 PROFILES = ("hover", "survey_lawnmower", "circle", "waypoint_polyline", "aggressive_manual")
 
@@ -66,6 +74,9 @@ class NoiseConfig:
         for name in ("gyro_std", "accel_std", "gyro_bias", "accel_bias", "baro_std", "mag_std"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"noise {name} must be >= 0")
+        for name in ("gyro_bias_vec", "accel_bias_vec"):
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(np.asarray(getattr(self, name), dtype=float).reshape(3).tolist()))
 
     @classmethod
     def low_cost(cls, scale: float = 1.0) -> "NoiseConfig":
@@ -326,7 +337,7 @@ def _time_grid(total_s: float, rate_hz: float) -> np.ndarray:
 
 def _bias_vector(rng: np.random.Generator, magnitude: float, override) -> np.ndarray:
     if override is not None:
-        return np.asarray(override, dtype=float).reshape(3)
+        return np.asarray(override)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     return magnitude * direction
@@ -442,22 +453,19 @@ class DatasetManifest:
                 for e in self.logs
             ]
         }
-        with open(self.root / "dataset.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(payload, self.root / "dataset.json")
 
     @classmethod
     def load(cls, root: str | Path) -> "DatasetManifest":
         root = Path(root)
-        manifest_path = root / "dataset.json"
-        if not manifest_path.is_file():
-            raise DataError(f"missing dataset manifest: {manifest_path}")
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        logs = [
-            LogEntry(log_id=d["id"], path=d["path"], duration_s=float(d["duration_s"]), profile=d["profile"])
-            for d in payload.get("logs", [])
-        ]
+        payload = read_json_object(root / "dataset.json")
+        try:
+            logs = [
+                LogEntry(str(d["id"]), str(d["path"]), float(d["duration_s"]), str(d["profile"]))
+                for d in payload.get("logs", [])
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{root / 'dataset.json'}: malformed log entry ({exc!r})") from exc
         return cls(root=root, logs=logs)
 
 

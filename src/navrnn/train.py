@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .flightlog import write_json
 from .preprocess import WindowedDataset
 from .rnn import (
     AdamState,
@@ -32,17 +32,19 @@ class TrainConfig:
     lr_schedule: tuple = DEFAULT_LR_SCHEDULE
     shuffle_seed: int = 0
     early_stop_patience: int = 0  # 0 disables early stopping
-    loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights
-    l2: float = 0.0
+    loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights; a mapping builds a LossSpec
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        starts = [int(e) for e, _ in self.lr_schedule]
+        self.lr_schedule = tuple((int(e), float(lr)) for e, lr in self.lr_schedule)
+        starts = [e for e, _ in self.lr_schedule]
         if not starts:
             raise ConfigError("lr_schedule must not be empty")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ConfigError("lr_schedule epochs must be strictly increasing")
+        if isinstance(self.loss, dict):
+            self.loss = LossSpec(**self.loss)
 
 
 def lr_at(schedule, epoch: int) -> float:
@@ -87,9 +89,7 @@ class TrainReport:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
@@ -157,9 +157,6 @@ def fit(
                     f"non-finite loss {batch_loss} at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             grads = backward(tape, yb, spec)
-            if cfg.l2 > 0.0:
-                for (_, g), (_, p) in zip(grads.arrays(), params.arrays()):
-                    g += cfg.l2 * p
             params, state = adam_step(params, grads, state, lr=lr)
             epoch_loss += batch_loss * len(idx)
         epoch_loss /= m

@@ -164,33 +164,60 @@ def test_bad_data_exits_two(tmp_path):
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-def _synth_with_one_nan(root: Path, count: int) -> str:
-    """Synthesize `count` short flights and put one NaN into the first
-    one's imu.csv; returns that log's id."""
-    synth_cfg = _write_config(
-        root / "synth.json",
-        {"batch": {"count": count, "profiles": ["circle"], "duration_s": 20.0, "seed": 5}},
-    )
-    assert main(["synth", "--config", synth_cfg, "--out", str(root / "data")]) == 0
-    imu_csv = sorted((root / "data").rglob("imu.csv"))[0]
+def _nan_in_imu(log_dir: Path) -> None:
+    imu_csv = log_dir / "imu.csv"
     lines = imu_csv.read_text().splitlines()
     fields = lines[5].split(",")
     fields[1] = "nan"
     lines[5] = ",".join(fields)
     imu_csv.write_text("\n".join(lines) + "\n")
-    return json.loads((imu_csv.parent / "manifest.json").read_text())["log_id"]
+
+
+def _flip_imu_byte(log_dir: Path) -> None:
+    data = bytearray((log_dir / "imu.csv").read_bytes())
+    data[len(data) // 2] = 0xFF
+    (log_dir / "imu.csv").write_bytes(bytes(data))
+
+
+def _cut_imu_mid_row(log_dir: Path) -> None:
+    data = (log_dir / "imu.csv").read_bytes()
+    row_start = data.index(b"\n", len(data) // 2) + 1
+    (log_dir / "imu.csv").write_bytes(data[: data.index(b",", row_start) + 1])
+
+
+def _manifest_not_an_object(log_dir: Path) -> None:
+    (log_dir / "manifest.json").write_text("[]")
+
+
+def _synth_with_one_bad_log(root: Path, count: int, corrupt=_nan_in_imu) -> str:
+    """Synthesize `count` short flights and corrupt the first one's files;
+    returns that log's id."""
+    synth_cfg = _write_config(
+        root / "synth.json",
+        {"batch": {"count": count, "profiles": ["circle"], "duration_s": 20.0, "seed": 5}},
+    )
+    assert main(["synth", "--config", synth_cfg, "--out", str(root / "data")]) == 0
+    log_dir = sorted((root / "data").rglob("imu.csv"))[0].parent
+    log_id = json.loads((log_dir / "manifest.json").read_text())["log_id"]
+    corrupt(log_dir)
+    return log_id
 
 
 def test_non_finite_imu_sample_exits_two(tmp_path, capsys):
-    _synth_with_one_nan(tmp_path, count=2)
+    _synth_with_one_bad_log(tmp_path, count=2)
     pre_cfg = _write_config(tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "min_duration_s": 10.0})
     capsys.readouterr()
     assert main(["preprocess", "--config", pre_cfg, "--out", str(tmp_path / "pre")]) == 2
     assert "data error" in capsys.readouterr().err
 
 
-def test_non_finite_log_rejected_rest_of_corpus_kept(tmp_path):
-    bad_id = _synth_with_one_nan(tmp_path, count=3)
+@pytest.mark.parametrize(
+    "corrupt",
+    [_nan_in_imu, _flip_imu_byte, _cut_imu_mid_row, _manifest_not_an_object],
+    ids=["nan", "flipped_byte", "cut_mid_row", "manifest_not_an_object"],
+)
+def test_non_finite_log_rejected_rest_of_corpus_kept(tmp_path, corrupt):
+    bad_id = _synth_with_one_bad_log(tmp_path, count=3, corrupt=corrupt)
     pre_cfg = _write_config(
         tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "min_duration_s": 10.0, "window": 10}
     )
@@ -200,6 +227,62 @@ def test_non_finite_log_rejected_rest_of_corpus_kept(tmp_path):
     verdicts = {v["log_id"]: v for v in report["verdicts"]}
     assert verdicts[bad_id]["accepted"] is False
     assert verdicts[bad_id]["reasons"] == ["validation_defects"]
+
+
+def _model_inputs(root: Path) -> dict:
+    return {"checkpoint": str(root / "model" / "model_final.navc"), "dataset": str(root / "data")}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("preprocess", lambda root: []),
+        ("preprocess", lambda root: {}),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "window": "abc"}),
+        ("train", lambda root: {"train_windows": str(root / "pre" / "train_windows.bin"),
+                                "train": {"lr_schedule": [[0]]}}),
+        ("eval", lambda root: {**_model_inputs(root), "baseline": True, "deadreckon": {"gyro_bias": [1, 2]}}),
+        ("eval", lambda root: {**_model_inputs(root), "baseline": True, "deadreckon": {"foo": 1}}),
+        ("synth", lambda root: {"flights": [{"rates_hz": {"foo": 1}}]}),
+        ("synth", lambda root: {"batch": {"count": 1, "profiles": []}}),
+        ("stream", lambda root: {"checkpoint": str(root / "model" / "model_final.navc")}),
+    ],
+    ids=[
+        "preprocess_not_an_object",
+        "preprocess_no_dataset",
+        "preprocess_bad_window",
+        "train_bad_lr_schedule",
+        "eval_short_gyro_bias",
+        "eval_unknown_deadreckon_field",
+        "synth_unknown_rate",
+        "synth_no_profiles",
+        "stream_no_log",
+    ],
+)
+def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
+    cfg = _write_config(tmp_path / "cfg.json", config(tiny_pipeline))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, code", [("mae", 0), ("bogus", 1)])
+def test_train_loss_from_config(tiny_pipeline, tmp_path, kind, code):
+    cfg = _write_config(
+        tmp_path / "train.json",
+        {
+            "train_windows": str(tiny_pipeline / "pre" / "train_windows.bin"),
+            "network": {"recurrent_layers": 1, "hidden_size": 8},
+            "train": {"epochs": 1, "batch_size": 128, "loss": {"kind": kind}},
+        },
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == code
+
+
+def test_split_without_val_exits_two(tiny_pipeline, tmp_path):
+    split = _write_config(tmp_path / "split.json", {"train": []})
+    cfg = _write_config(tmp_path / "eval.json", {**_model_inputs(tiny_pipeline), "split": split})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_help_lists_flags(capsys):

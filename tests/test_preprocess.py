@@ -345,8 +345,8 @@ class TestWindows:
 
     @pytest.mark.parametrize(
         "sidecar",
-        ["{not json", "[]", '{"stride": "x"}', '{"source_logs": 5}'],
-        ids=["not_json", "not_an_object", "bad_stride", "bad_source_logs"],
+        ["{not json", "[]", '{"stride": "x"}', '{"source_logs": 5}', '{"period_ms": "x"}'],
+        ids=["not_json", "not_an_object", "bad_stride", "bad_source_logs", "bad_period_ms"],
     )
     def test_malformed_sidecar(self, tmp_path, noisy_logs, sidecar):
         save_windows(build_dataset([unify_rates(noisy_logs[0])], window=25), tmp_path / "w.bin")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from navrnn.deadreckon import DeadReckonConfig, dead_reckon
-from navrnn.errors import ConfigError
+from navrnn.errors import ConfigError, DataError
 from navrnn.synth import (
     DatasetManifest,
     NoiseConfig,
@@ -134,3 +134,14 @@ def test_streams_cover_total_duration():
         assert stream.t_us[0] == 0
         assert stream.t_us[-1] <= 30_000_000
         assert stream.t_us[-1] >= 29_000_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"logs": [{"path": "a", "duration_s": 60.0, "profile": "circle"}]}'],
+    ids=["not_json", "entry_without_id"],
+)
+def test_malformed_dataset_manifest(tmp_path, text):
+    (tmp_path / "dataset.json").write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="dataset.json"):
+        DatasetManifest.load(tmp_path)
