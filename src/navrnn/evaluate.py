@@ -48,7 +48,8 @@ def reconstruct_path(
 
 
 def compute_mpe(pred_pos: np.ndarray, true_pos: np.ndarray) -> float:
-    """Maximum 3D Euclidean position error over aligned series."""
+    """Maximum 3D Euclidean error over aligned series: the MPE of positions,
+    and the MVE of velocities."""
     pred_pos = np.asarray(pred_pos, dtype=np.float64)
     true_pos = np.asarray(true_pos, dtype=np.float64)
     if pred_pos.shape != true_pos.shape:
@@ -61,18 +62,6 @@ def compute_tn_mpe(mpe_m: float, duration_min: float) -> float:
     if duration_min <= 0:
         raise DataError("duration must be positive")
     return mpe_m / duration_min
-
-
-def compute_mve(pred_vel: np.ndarray, true_vel: np.ndarray) -> float:
-    """Maximum 3D velocity-error magnitude over aligned series."""
-    return compute_mpe(pred_vel, true_vel)
-
-
-def velocity_from_position_diffs(pos_increments: np.ndarray, dt: float = 0.2) -> np.ndarray:
-    """Velocity implied by position increments over the fixed label period."""
-    if dt <= 0:
-        raise DataError("dt must be positive")
-    return np.asarray(pos_increments, dtype=np.float64) / dt
 
 
 @dataclass
@@ -118,19 +107,17 @@ def _metrics_from_series(
     pred_pos: np.ndarray,
     pred_vel: np.ndarray,
 ) -> FlightMetrics:
-    pos_err = np.linalg.norm(pred_pos - true_pos, axis=1)
-    vel_err = np.linalg.norm(pred_vel - true_vel, axis=1)
     duration_min = float(t_us[-1] - t_us[0]) * 1e-6 / 60.0
-    mpe = float(np.max(pos_err))
+    mpe = compute_mpe(pred_pos, true_pos)
     return FlightMetrics(
         log_id=log_id,
         mpe_m=mpe,
         tn_mpe_m_per_min=compute_tn_mpe(mpe, duration_min),
-        mve_mps=float(np.max(vel_err)),
+        mve_mps=compute_mpe(pred_vel, true_vel),
         duration_min=duration_min,
         distance_m=float(np.sum(np.linalg.norm(np.diff(true_pos, axis=0), axis=1))),
-        pos_error_m=pos_err,
-        vel_error_mps=vel_err,
+        pos_error_m=np.linalg.norm(pred_pos - true_pos, axis=1),
+        vel_error_mps=np.linalg.norm(pred_vel - true_vel, axis=1),
         t_us=t_us,
         true_pos=true_pos,
         pred_pos=pred_pos,

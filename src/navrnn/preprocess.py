@@ -302,7 +302,7 @@ class Normalization:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float32).reshape(-1)
         self.std = np.asarray(self.std, dtype=np.float32).reshape(-1)
-        if np.any(self.std <= 0):
+        if not np.all(self.std > 0):  # NaN fails too
             raise ConfigError("normalization std must be positive")
 
     @classmethod
@@ -337,7 +337,7 @@ class WindowedDataset:
         self.windows = np.asarray(self.windows, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.float32)
         self.weights = np.asarray(self.weights, dtype=np.float32).reshape(-1)
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):  # NaN fails too
             raise ConfigError("signal weights must be positive")
 
     def __len__(self) -> int:
@@ -497,13 +497,16 @@ def load_windows(path: str | Path) -> WindowedDataset:
     source_logs = meta.get("source_logs", [])
     if not isinstance(source_logs, list) or not all(isinstance(s, str) for s in source_logs):
         raise DataError(f"{sidecar_path}: source_logs must be a list of log ids")
-    return WindowedDataset(
-        windows=arr[:o1].reshape(m, w, f).copy(),
-        labels=arr[o1:o2].reshape(m, lab).copy(),
-        weights=arr[o2:o3].copy(),
-        window_size=w,
-        stride=stride,
-        normalization=Normalization(mean=arr[o3:o4].copy(), std=arr[o4:].copy()),
-        source_logs=source_logs,
-        period_ms=period_ms,
-    )
+    try:  # a value the dataclasses reject is bad file content, not bad configuration
+        return WindowedDataset(
+            windows=arr[:o1].reshape(m, w, f).copy(),
+            labels=arr[o1:o2].reshape(m, lab).copy(),
+            weights=arr[o2:o3].copy(),
+            window_size=w,
+            stride=stride,
+            normalization=Normalization(mean=arr[o3:o4].copy(), std=arr[o4:].copy()),
+            source_logs=source_logs,
+            period_ms=period_ms,
+        )
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -79,16 +79,6 @@ def rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rotate(conjugate(q), v)
 
 
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with v_ned = R @ v_body. Batched on leading axes."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = (q[..., i] for i in range(4))
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
-
-
 def from_euler_zyx(roll: np.ndarray, pitch: np.ndarray, yaw: np.ndarray) -> np.ndarray:
     """Aerospace Euler angles (yaw-pitch-roll, intrinsic z-y'-x'') to quaternion."""
     roll = np.asarray(roll, dtype=float)

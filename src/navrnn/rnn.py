@@ -1,27 +1,27 @@
 """Recurrent network core: forward pass, backpropagation through time,
 weighted-MAE loss, Adam, and checkpoint serialization.
 
-The architecture is a stack of recurrent layers (LSTM by default; GRU and
-vanilla cells share the interface) followed by a single linear layer that
-maps the final hidden state to the six state increments. Gate activations
-are sigmoid; the input activation is configurable (tanh default). Gradients
-are derived by hand for this fixed architecture and verified against finite
-differences in the test suite. All math runs at one declared precision.
+The architecture is a stack of LSTM layers followed by a single linear
+layer that maps the final hidden state to the six state increments. Gate
+activations are sigmoid; the input activation is configurable (tanh
+default). Gradients are derived by hand for this fixed architecture and
+verified against finite differences in the test suite. All math runs at one
+declared precision.
 
 Every sigmoid is ½ + ½·tanh(z/2). An LSTM step activates its [B, 4h] gate
 block (columns i, f, g, o) with one tanh and then `*s + off` (0.5/0.5 on
 sigmoid columns, 1/0 on a tanh g; a relu g is taken before the tanh); the ½
 inside the tanh is folded into the weights once per call, which is exact.
 The block is activated in place in the input-projection buffer, which is
-the tape's `gates["a"]` [w, B, 4h]; `gates["c"]`, `gates["ca"]` (the cell
-state and its activation) and `h` are [w, B, h].
+the tape's `a` [w, B, 4h]; `c`, `ca` (the cell state and its activation)
+and `h` are [w, B, h].
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataError
 
-CELLS = ("lstm", "gru", "vanilla")
 ACTIVATIONS = ("tanh", "relu", "sigmoid")
-_GATES = {"lstm": 4, "gru": 3, "vanilla": 1}
 
 CHECKPOINT_MAGIC = b"NAVC"
 CHECKPOINT_VERSION = 1
@@ -43,15 +41,15 @@ class NetworkConfig:
     hidden_size: int = 200
     input_size: int = 11
     output_size: int = 6
-    cell: str = "lstm"
+    cell: str = "lstm"  # the only cell; kept because it is a key of the NAVC header
     input_activation: str = "tanh"
     # the recurrent (gate) activation is fixed to sigmoid
 
     def __post_init__(self):
         if min(self.recurrent_layers, self.hidden_size, self.input_size, self.output_size) < 1:
             raise ConfigError("network sizes must be positive")
-        if self.cell not in CELLS:
-            raise ConfigError(f"unknown cell {self.cell!r}")
+        if self.cell != "lstm":
+            raise ConfigError(f"unknown cell {self.cell!r}; only 'lstm' is supported")
         if self.input_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.input_activation!r}")
 
@@ -84,9 +82,9 @@ def _act_deriv_from_value(name: str, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerParams:
-    wx: np.ndarray  # [gates*h, in]
-    wh: np.ndarray  # [gates*h, h]
-    b: np.ndarray  # [gates*h]
+    wx: np.ndarray  # [4h, in]
+    wh: np.ndarray  # [4h, h]
+    b: np.ndarray  # [4h]
 
 
 @dataclass
@@ -99,8 +97,8 @@ class DenseParams:
 class NetworkParams:
     layers: list[LayerParams]
     dense: DenseParams
-    cell: str = "lstm"
     input_activation: str = "tanh"
+    cell = "lstm"  # not a field: perfbench's tracer keys network shapes on params.cell
 
     def arrays(self):
         """(name, array) pairs in canonical serialization order."""
@@ -115,7 +113,6 @@ class NetworkParams:
         return NetworkParams(
             layers=[LayerParams(l.wx.copy(), l.wh.copy(), l.b.copy()) for l in self.layers],
             dense=DenseParams(self.dense.w.copy(), self.dense.b.copy()),
-            cell=self.cell,
             input_activation=self.input_activation,
         )
 
@@ -135,16 +132,6 @@ class NetworkParams:
     def output_size(self) -> int:
         return self.dense.w.shape[0]
 
-    def to_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            recurrent_layers=len(self.layers),
-            hidden_size=self.hidden_size,
-            input_size=self.input_size,
-            output_size=self.output_size,
-            cell=self.cell,
-            input_activation=self.input_activation,
-        )
-
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
@@ -156,21 +143,19 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
     """Deterministic initialization.
 
     Input kernels are Glorot-uniform over the full gate block, recurrent
-    kernels are per-gate orthogonal, biases are zero except the LSTM forget
-    gate which starts at 1.
+    kernels are per-gate orthogonal, biases are zero except the forget gate
+    which starts at 1.
     """
     rng = np.random.default_rng(seed)
-    gates = _GATES[cfg.cell]
     layers = []
     in_size = cfg.input_size
     h = cfg.hidden_size
     for _ in range(cfg.recurrent_layers):
-        limit = np.sqrt(6.0 / (in_size + gates * h))
-        wx = rng.uniform(-limit, limit, size=(gates * h, in_size))
-        wh = np.vstack([_orthogonal(rng, h) for _ in range(gates)])
-        b = np.zeros(gates * h)
-        if cfg.cell == "lstm":
-            b[h : 2 * h] = 1.0  # forget gate
+        limit = np.sqrt(6.0 / (in_size + 4 * h))
+        wx = rng.uniform(-limit, limit, size=(4 * h, in_size))
+        wh = np.vstack([_orthogonal(rng, h) for _ in range(4)])
+        b = np.zeros(4 * h)
+        b[h : 2 * h] = 1.0  # forget gate
         layers.append(LayerParams(wx.astype(dtype), wh.astype(dtype), b.astype(dtype)))
         in_size = h
     limit = np.sqrt(6.0 / (h + cfg.output_size))
@@ -178,7 +163,7 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
         rng.uniform(-limit, limit, size=(cfg.output_size, h)).astype(dtype),
         np.zeros(cfg.output_size, dtype=dtype),
     )
-    return NetworkParams(layers=layers, dense=dense, cell=cfg.cell, input_activation=cfg.input_activation)
+    return NetworkParams(layers=layers, dense=dense, input_activation=cfg.input_activation)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +174,9 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
 class _LayerTape:
     inputs: np.ndarray  # [w, B, in]
     h: np.ndarray  # [w, B, hidden]
-    gates: dict = field(default_factory=dict)
+    a: np.ndarray  # [w, B, 4*hidden] activated gate block i, f, g, o
+    c: np.ndarray  # [w, B, hidden] cell state
+    ca: np.ndarray  # [w, B, hidden] activated cell state
 
 
 @dataclass
@@ -222,59 +209,38 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
     # time-major input to each layer
     seq = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # [w, B, in]
     layer_tapes: list[_LayerTape] = []
-    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # LSTM gate columns
+    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
     s = np.full(4 * hs, 0.5, dtype=params.dtype)  # ½ on sigmoid columns, 1 on a tanh/relu g
     s[gg] = 0.5 if act_name == "sigmoid" else 1.0
     off = 1.0 - s
 
     for layer in params.layers:
-        wx, wh, b = layer.wx, layer.wh, layer.b
-        if params.cell == "lstm":  # pre-activation z/2 on the sigmoid columns (exact)
-            wx, wh, b = wx * s[:, None], wh * s[:, None], b * s
-        pre = (seq.reshape(w * B, -1) @ wx.T).reshape(w, B, -1)  # [w, B, gates*h]
+        # pre-activation z/2 on the sigmoid columns (exact)
+        wx, wh, b = layer.wx * s[:, None], layer.wh * s[:, None], layer.b * s
+        pre = (seq.reshape(w * B, -1) @ wx.T).reshape(w, B, -1)  # [w, B, 4h]
         pre += b
         h = np.zeros((B, hs), dtype=params.dtype)
+        c = np.zeros((B, hs), dtype=params.dtype)
         H = np.empty((w, B, hs), dtype=params.dtype)
-        if params.cell == "lstm":
-            c = np.zeros((B, hs), dtype=params.dtype)
-            C = np.empty_like(H)
-            CA = np.empty_like(H)
-            zh = np.empty((B, 4 * hs), dtype=params.dtype)
-            ig = np.empty_like(c)
-            for t in range(w):
-                a = pre[t]
-                a += np.matmul(h, wh.T, out=zh)
-                if act_name == "relu":
-                    np.maximum(a[:, gg], 0.0, out=ig)
-                np.tanh(a, out=a)
-                a *= s
-                a += off
-                if act_name == "relu":
-                    a[:, gg] = ig
-                c = np.multiply(a[:, gf], c, out=C[t])
-                c += np.multiply(a[:, gi], a[:, gg], out=ig)
-                h = np.multiply(a[:, go], _act(act_name, c, out=CA[t]), out=H[t])
-            gates = {"a": pre, "c": C, "ca": CA}
-        elif params.cell == "gru":
-            R = np.empty_like(H)
-            Z = np.empty_like(H)
-            N = np.empty_like(H)
-            RN = np.empty_like(H)  # recurrent contribution to the candidate
-            for t in range(w):
-                zh = h @ wh.T
-                r = sigmoid(pre[t][:, :hs] + zh[:, :hs])
-                zg = sigmoid(pre[t][:, hs : 2 * hs] + zh[:, hs : 2 * hs])
-                rn = zh[:, 2 * hs :]
-                n_ = _act(act_name, pre[t][:, 2 * hs :] + r * rn)
-                h = (1.0 - zg) * n_ + zg * h
-                R[t], Z[t], N[t], RN[t], H[t] = r, zg, n_, rn, h
-            gates = {"r": R, "z": Z, "n": N, "rn": RN}
-        else:  # vanilla
-            for t in range(w):
-                h = _act(act_name, pre[t] + h @ wh.T, out=H[t])
-            gates = {}
+        C = np.empty_like(H)
+        CA = np.empty_like(H)
+        zh = np.empty((B, 4 * hs), dtype=params.dtype)
+        ig = np.empty_like(c)
+        for t in range(w):
+            a = pre[t]
+            a += np.matmul(h, wh.T, out=zh)
+            if act_name == "relu":
+                np.maximum(a[:, gg], 0.0, out=ig)
+            np.tanh(a, out=a)
+            a *= s
+            a += off
+            if act_name == "relu":
+                a[:, gg] = ig
+            c = np.multiply(a[:, gf], c, out=C[t])
+            c += np.multiply(a[:, gi], a[:, gg], out=ig)
+            h = np.multiply(a[:, go], _act(act_name, c, out=CA[t]), out=H[t])
         if want_tape:
-            layer_tapes.append(_LayerTape(inputs=seq, h=H, gates=gates))
+            layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C, ca=CA))
         seq = H
 
     y = h @ params.dense.w.T + params.dense.b
@@ -372,7 +338,7 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
 
     act_name = params.input_activation
     hs = params.hidden_size
-    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # LSTM gate columns
+    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
     g_dense_w = dy.T @ tape.h_final
     g_dense_b = dy.sum(axis=0)
     d_ext_final = dy @ params.dense.w  # [B, h]
@@ -381,64 +347,40 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     d_ext: np.ndarray | None = None  # [w, B, h] gradient w.r.t. this layer's output sequence
     w, B, _ = tape.layer_tapes[0].h.shape
     # gradients w.r.t. the gate pre-activations, one buffer for every layer
-    dgx = np.empty((w, B, params.layers[0].wx.shape[0]), dtype=params.dtype)
-    dgh = np.empty_like(dgx) if params.cell == "gru" else dgx
+    dgx = np.empty((w, B, 4 * hs), dtype=params.dtype)
 
     for li in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[li]
         lt = tape.layer_tapes[li]
+        A, C, CA = lt.a, lt.c, lt.ca
         dh = np.zeros((B, hs), dtype=params.dtype)
-        if params.cell == "lstm":
-            A, C, CA = lt.gates["a"], lt.gates["c"], lt.gates["ca"]
-            dc = np.zeros_like(dh)
-            up = np.empty((B, 4 * hs), dtype=params.dtype)  # upstream gradient of each gate
+        dc = np.zeros_like(dh)
+        up = np.empty((B, 4 * hs), dtype=params.dtype)  # upstream gradient of each gate
         for t in range(w - 1, -1, -1):
             if d_ext is not None:
                 dh += d_ext[t]
             elif t == w - 1:
                 dh += d_ext_final
             dgates = dgx[t]
-            if params.cell == "lstm":
-                a = A[t]
-                dc += _act_deriv_from_value(act_name, CA[t]) * a[:, go] * dh
-                np.multiply(dc, a[:, gg], out=up[:, gi])
-                np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
-                np.multiply(dc, a[:, gi], out=up[:, gg])
-                np.multiply(dh, CA[t], out=up[:, go])
-                # σ' = a(1 - a) on the whole block, then the candidate's own derivative
-                np.subtract(1.0, a, out=dgates)
-                dgates *= a
-                if act_name != "sigmoid":
-                    dgates[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
-                dgates *= up
-                dc *= a[:, gf]
-                np.matmul(dgates, layer.wh, out=dh)
-            elif params.cell == "gru":
-                r, z, n_, rn = (lt.gates[k][t] for k in ("r", "z", "n", "rn"))
-                h_prev = lt.h[t - 1] if t > 0 else np.zeros_like(dh)
-                dn = dh * (1.0 - z)
-                dz = dh * (h_prev - n_)
-                dn_pre = dn * _act_deriv_from_value(act_name, n_)
-                dr = dn_pre * rn
-                dz_pre = dz * (z * (1.0 - z))
-                dr_pre = dr * (r * (1.0 - r))
-                dgates[:, :hs] = dr_pre
-                dgates[:, hs : 2 * hs] = dz_pre
-                dgates[:, 2 * hs :] = dn_pre
-                dgh[t][:, :hs] = dr_pre
-                dgh[t][:, hs : 2 * hs] = dz_pre
-                dgh[t][:, 2 * hs :] = dn_pre * r
-                dh *= z
-                dh += dgh[t] @ layer.wh
-            else:
-                np.multiply(dh, _act_deriv_from_value(act_name, lt.h[t]), out=dgates)
-                np.matmul(dgates, layer.wh, out=dh)
+            a = A[t]
+            dc += _act_deriv_from_value(act_name, CA[t]) * a[:, go] * dh
+            np.multiply(dc, a[:, gg], out=up[:, gi])
+            np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
+            np.multiply(dc, a[:, gi], out=up[:, gg])
+            np.multiply(dh, CA[t], out=up[:, go])
+            # σ' = a(1 - a) on the whole block, then the candidate's own derivative
+            np.subtract(1.0, a, out=dgates)
+            dgates *= a
+            if act_name != "sigmoid":
+                dgates[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
+            dgates *= up
+            dc *= a[:, gf]
+            np.matmul(dgates, layer.wh, out=dh)
         flat_x = lt.inputs.reshape(w * B, -1)
         flat_dgx = dgx.reshape(w * B, -1)
-        flat_dgh = dgh.reshape(w * B, -1)
         g_wx = flat_dgx.T @ flat_x
         # the state before step 0 is zero, so step 0 adds nothing to g_wh
-        g_wh = flat_dgh[B:].T @ lt.h[:-1].reshape((w - 1) * B, hs)
+        g_wh = flat_dgx[B:].T @ lt.h[:-1].reshape((w - 1) * B, hs)
         g_b = flat_dgx.sum(axis=0)
         grads_layers[li] = LayerParams(g_wx, g_wh, g_b)
         if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below
@@ -447,7 +389,6 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     return NetworkParams(
         layers=grads_layers,
         dense=DenseParams(g_dense_w.astype(params.dtype), g_dense_b.astype(params.dtype)),
-        cell=params.cell,
         input_activation=params.input_activation,
     )
 
@@ -575,7 +516,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"{path}: meta missing {key!r}; refusing to load")
     try:
         cfg = NetworkConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad config ({exc})") from exc
 
     arrays = {}
@@ -594,27 +535,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
 
-    layers = []
-    for i in range(cfg.recurrent_layers):
-        try:
-            layers.append(LayerParams(arrays[f"layer{i}.wx"], arrays[f"layer{i}.wh"], arrays[f"layer{i}.b"]))
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing array {exc}") from exc
-    if "dense.w" not in arrays or "dense.b" not in arrays:
-        raise CheckpointError(f"{path}: missing dense arrays")
-    params = NetworkParams(
-        layers=layers,
-        dense=DenseParams(arrays["dense.w"], arrays["dense.b"]),
-        cell=cfg.cell,
-        input_activation=cfg.input_activation,
-    )
-    expected = {
-        f"layer{i}.wx": (_GATES[cfg.cell] * cfg.hidden_size, cfg.input_size if i == 0 else cfg.hidden_size)
-        for i in range(cfg.recurrent_layers)
-    }
+    h, n = cfg.hidden_size, cfg.recurrent_layers
+    expected = {}
+    for i in range(n):
+        expected[f"layer{i}.wx"] = (4 * h, cfg.input_size if i == 0 else h)
+        expected[f"layer{i}.wh"] = (4 * h, h)
+        expected[f"layer{i}.b"] = (4 * h,)
+    expected["dense.w"] = (cfg.output_size, h)
+    expected["dense.b"] = (cfg.output_size,)
     for name, shape in expected.items():
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing array {name!r}")
         if arrays[name].shape != shape:
             raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
-    if params.dense.w.shape != (cfg.output_size, cfg.hidden_size):
-        raise CheckpointError(f"{path}: dense shape mismatch")
+    params = NetworkParams(
+        layers=[LayerParams(arrays[f"layer{i}.wx"], arrays[f"layer{i}.wh"], arrays[f"layer{i}.b"]) for i in range(n)],
+        dense=DenseParams(arrays["dense.w"], arrays["dense.b"]),
+        input_activation=cfg.input_activation,
+    )
     return Checkpoint(params=params, config=cfg, meta=meta)

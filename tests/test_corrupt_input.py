@@ -1,13 +1,17 @@
 """Fuzz the file readers: one flipped byte or a truncation of any file must
-end as a loaded object or a NavError, never as another exception."""
+end as a loaded object or the reader's own error category (exit code 2),
+never as another exception."""
 
+import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navrnn.errors import NavError
+from navrnn.cli import main
+from navrnn.errors import CheckpointError, DataError, ValidationError
 from navrnn.flightlog import read_flight_log, write_flight_log
 from navrnn.preprocess import build_dataset, load_windows, save_windows, unify_rates
 from navrnn.rnn import NetworkConfig, init_params, load_checkpoint, save_checkpoint
@@ -28,10 +32,11 @@ def _corrupt(data: bytes, corruption) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1 :]
 
 
-def _read_or_nav_error(reader, path):
+def _read_or_raise(reader, path, errors):
+    """Run reader; any exception outside errors fails the test."""
     try:
         reader(path)
-    except NavError:
+    except errors:
         pass
 
 
@@ -68,14 +73,14 @@ def test_pristine_files_load(pristine):
 @given(name=st.sampled_from(LOG_FILES), corruption=corruptions)
 def test_corrupt_log_file(pristine, name, corruption):
     work = _rewrite(pristine / "log", pristine / "work_log", LOG_FILES, name, corruption)
-    _read_or_nav_error(read_flight_log, work)
+    _read_or_raise(read_flight_log, work, (DataError, ValidationError))
 
 
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(("w.bin", "w.json")), corruption=corruptions)
 def test_corrupt_windows_file(pristine, name, corruption):
     work = _rewrite(pristine, pristine / "work_windows", ("w.bin", "w.json"), name, corruption)
-    _read_or_nav_error(load_windows, work / "w.bin")
+    _read_or_raise(load_windows, work / "w.bin", DataError)
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,4 +93,19 @@ def test_corrupt_checkpoint_header(pristine, corruption):
     else:
         data = _corrupt(data, corruption)
     (pristine / "work.navc").write_bytes(data)
-    _read_or_nav_error(load_checkpoint, pristine / "work.navc")
+    _read_or_raise(load_checkpoint, pristine / "work.navc", CheckpointError)
+
+
+@pytest.mark.parametrize(
+    "array, value", [("weights", -1.0), ("weights", np.nan), ("std", 0.0)], ids=["weight", "nan_weight", "std"]
+)
+def test_windows_value_check_is_data_error(pristine, tmp_path, capsys, array, value):
+    # decoded values that the dataclasses reject are data errors, not config errors
+    ds = load_windows(pristine / "w.bin")
+    (ds.weights if array == "weights" else ds.normalization.std)[0] = value
+    save_windows(ds, tmp_path / "w.bin", {"period_ms": 200})
+    with pytest.raises(DataError, match="must be positive"):
+        load_windows(tmp_path / "w.bin")
+    (tmp_path / "train.json").write_text(json.dumps({"train_windows": str(tmp_path / "w.bin")}))
+    assert main(["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "data error" in capsys.readouterr().err

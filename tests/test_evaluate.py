@@ -8,11 +8,9 @@ from navrnn.evaluate import (
     aggregate_metrics,
     baseline_flight_metrics,
     compute_mpe,
-    compute_mve,
     compute_tn_mpe,
     evaluate_flight,
     reconstruct_path,
-    velocity_from_position_diffs,
 )
 from navrnn.preprocess import difference, unify_rates
 
@@ -58,7 +56,7 @@ class TestMetrics:
 
     def test_mve_offset(self, rng):
         v = rng.standard_normal((30, 3))
-        assert compute_mve(v + np.array([0.6, 0.8, 0.0]), v) == pytest.approx(1.0, abs=1e-12)
+        assert compute_mpe(v + np.array([0.6, 0.8, 0.0]), v) == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -103,22 +101,6 @@ class TestMetrics:
         assert compute_mpe(pred @ rot.T, true @ rot.T) == pytest.approx(base, rel=1e-9)
 
 
-class TestVelocityFromDiffs:
-    def test_reference_step(self):
-        np.testing.assert_allclose(velocity_from_position_diffs(np.array([[1.0, 0, 0]])), [[5.0, 0, 0]])
-
-    def test_zero(self):
-        np.testing.assert_array_equal(velocity_from_position_diffs(np.zeros((3, 3))), 0.0)
-
-    def test_arithmetic(self):
-        out = velocity_from_position_diffs(np.array([[0.2, -0.4, 0.1]]))
-        np.testing.assert_allclose(out, [[1.0, -2.0, 0.5]])
-
-    def test_bad_dt(self):
-        with pytest.raises(DataError):
-            velocity_from_position_diffs(np.zeros((2, 3)), dt=0.0)
-
-
 class TestEvaluateFlight:
     def test_ground_truth_as_predictions_gives_zero(self, small_ckpt):
         # feed the true increments through the reconstruction/metric path
@@ -128,7 +110,7 @@ class TestEvaluateFlight:
         inc = series.labels[w - 1 :]
         pos, vel = reconstruct_path(inc, (series.state_pos[w - 1], series.state_vel[w - 1]))
         assert compute_mpe(pos, series.state_pos[w - 1 :]) < 1e-9
-        assert compute_mve(vel, series.state_vel[w - 1 :]) < 1e-9
+        assert compute_mpe(vel, series.state_vel[w - 1 :]) < 1e-9
 
     def test_trained_net_beats_biased_dead_reckoning(self, small_ckpt):
         log = small_ckpt["val_log"]
@@ -140,6 +122,9 @@ class TestEvaluateFlight:
         m = evaluate_flight(small_ckpt["ckpt"], small_ckpt["val_log"])
         assert m.tn_mpe_m_per_min == pytest.approx(m.mpe_m / m.duration_min)
         assert m.mpe_m == pytest.approx(np.max(m.pos_error_m))
+        # the reported metrics are the ones the brute-force oracle checks
+        assert m.mpe_m == compute_mpe(m.pred_pos, m.true_pos)
+        assert m.mve_mps == compute_mpe(m.pred_vel, m.true_vel)
         assert len(m.pos_error_m) == len(m.t_us)
         assert m.pos_error_m[0] == 0.0  # starts from the true state
         assert m.distance_m > 0

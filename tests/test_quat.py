@@ -5,6 +5,15 @@ from scipy.spatial.transform import Rotation
 from navrnn import quat
 
 
+def to_matrix(q):
+    """Rotation matrix R with v_ned = R @ v_body. Batched on leading axes."""
+    w, x, y, z = (q[..., i] for i in range(4))
+    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
+    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
+    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
+    return np.stack([row0, row1, row2], axis=-2)
+
+
 def _to_scipy(q):
     # scipy is scalar-last
     return Rotation.from_quat(np.roll(np.asarray(q), -1, axis=-1))
@@ -25,7 +34,7 @@ def test_rotate_matches_matrix(rng):
     q = quat.normalize(rng.standard_normal((20, 4)))
     v = rng.standard_normal((20, 3))
     via_formula = quat.rotate(q, v)
-    via_matrix = np.einsum("nij,nj->ni", quat.to_matrix(q), v)
+    via_matrix = np.einsum("nij,nj->ni", to_matrix(q), v)
     np.testing.assert_allclose(via_formula, via_matrix, atol=1e-12)
     scipy_rot = _to_scipy(q).apply(v)
     np.testing.assert_allclose(via_formula, scipy_rot, atol=1e-12)

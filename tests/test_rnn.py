@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from navrnn.cli import main
 from navrnn.errors import CheckpointError, ConfigError
 from navrnn.rnn import (
     AdamState,
@@ -49,28 +50,12 @@ def lstm_cell_step(x, h, c, layer: LayerParams, input_activation="tanh"):
     return h_new, c_new
 
 
-def gru_cell_step(x, h, layer: LayerParams, input_activation="tanh"):
-    """One GRU step: gate order r, z, n; the reset gate scales the recurrent
-    contribution of the candidate."""
-    hs = len(h)
-    zx = layer.wx @ np.asarray(x) + layer.b
-    zh = layer.wh @ h
-    r = expit(zx[:hs] + zh[:hs])
-    z = expit(zx[hs : 2 * hs] + zh[hs : 2 * hs])
-    n = _act(input_activation, zx[2 * hs :] + r * zh[2 * hs :])
-    return (1.0 - z) * n + z * h
-
-
-def vanilla_cell_step(x, h, layer: LayerParams, input_activation="tanh"):
-    return _act(input_activation, layer.wx @ np.asarray(x) + layer.wh @ h + layer.b)
-
-
 def _flatten(params):
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 
 
-def _fd_max_rel_err(cell, seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, activation="tanh"):
-    cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6, cell=cell,
+def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, activation="tanh"):
+    cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6,
                         input_activation=activation)
     params = init_params(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1000)
@@ -112,6 +97,12 @@ class TestInit:
             assert np.all(layer.b[8:16] == 1.0)
             assert np.all(layer.b[:8] == 0.0)
             assert np.all(layer.b[16:] == 0.0)
+
+    def test_only_lstm_cell(self):
+        assert NetworkConfig(cell="lstm").cell == "lstm"
+        for cell in ("gru", "vanilla", "LSTM"):
+            with pytest.raises(ConfigError, match="unknown cell"):
+                NetworkConfig(cell=cell)
 
     def test_shapes(self):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=200, input_size=11, output_size=6)
@@ -176,18 +167,6 @@ class TestCellSteps:
         y_loop = params.dense.w @ h + params.dense.b
         y_fwd, _ = forward(params, x)
         np.testing.assert_allclose(y_fwd, y_loop, atol=1e-12)
-
-    def test_gru_and_vanilla_steps_match_forward(self, rng):
-        for cell, step in (("gru", gru_cell_step), ("vanilla", vanilla_cell_step)):
-            cfg = NetworkConfig(recurrent_layers=1, hidden_size=5, input_size=3, cell=cell)
-            params = init_params(cfg, seed=4, dtype=np.float64)
-            x = rng.standard_normal((6, 3))
-            h = np.zeros(5)
-            for t in range(6):
-                h = step(x[t], h, params.layers[0])
-            y_loop = params.dense.w @ h + params.dense.b
-            y_fwd, _ = forward(params, x)
-            np.testing.assert_allclose(y_fwd, y_loop, atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     def test_lstm_batched_forward_matches_oracle(self, rng, activation):
@@ -297,21 +276,19 @@ class TestLoss:
 
 class TestBackward:
     @pytest.mark.parametrize(
-        "cell, activation",
+        "activation",
         [
-            pytest.param("lstm", "tanh", id="lstm"),
-            pytest.param("lstm", "relu", id="lstm-relu"),
-            pytest.param("lstm", "sigmoid", id="lstm-sigmoid"),
-            pytest.param("gru", "tanh", id="gru"),
-            pytest.param("vanilla", "tanh", id="vanilla"),
+            pytest.param("tanh", id="lstm"),
+            pytest.param("relu", id="lstm-relu"),
+            pytest.param("sigmoid", id="lstm-sigmoid"),
         ],
     )
-    def test_gradcheck_cells(self, cell, activation):
-        assert _fd_max_rel_err(cell, seed=0, activation=activation) < 1e-4
+    def test_gradcheck_cells(self, activation):
+        assert _fd_max_rel_err(seed=0, activation=activation) < 1e-4
 
     @pytest.mark.parametrize("loss_kind", ["mae", "mse", "huber"])
     def test_gradcheck_losses(self, loss_kind):
-        assert _fd_max_rel_err("lstm", seed=1, loss_kind=loss_kind) < 1e-4
+        assert _fd_max_rel_err(seed=1, loss_kind=loss_kind) < 1e-4
 
     def test_gradcheck_two_layers_relu(self):
         cfg = NetworkConfig(recurrent_layers=2, hidden_size=6, input_size=5, output_size=3,
@@ -436,6 +413,58 @@ class TestCheckpoint:
         assert np.array_equal(y0, y1)
         assert ckpt.config == cfg
         assert ckpt.meta["window"] == 15
+
+    def test_header_config_pins_format(self, tmp_path):
+        _, cfg, _, path = self._make(tmp_path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", data[8:12])
+        assert json.loads(data[12 : 12 + blob_len])["config"] == {
+            "recurrent_layers": 2,
+            "hidden_size": 10,
+            "input_size": 11,
+            "output_size": 6,
+            "cell": "lstm",
+            "input_activation": "tanh",
+        }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param({"cell": "gru"}, id="cell"),
+            pytest.param({"input_activation": "softplus"}, id="input_activation"),
+            pytest.param({"hidden_size": 0}, id="size"),
+        ],
+    )
+    def test_header_config_rejected_by_network_config(self, tmp_path, capsys, config):
+        _, _, _, path = self._make(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], **config}})
+        with pytest.raises(CheckpointError, match="bad config"):
+            load_checkpoint(path)
+        (tmp_path / "eval.json").write_text(json.dumps({"checkpoint": str(path), "dataset": str(tmp_path)}))
+        assert main(["eval", "--config", str(tmp_path / "eval.json"), "--out", str(tmp_path / "out")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            pytest.param("layer0.b", [2, 20], id="layer0.b"),
+            pytest.param("layer0.wh", [10, 40], id="layer0.wh"),
+            pytest.param("dense.b", [2, 3], id="dense.b"),
+        ],
+    )
+    def test_every_array_shape_checked(self, tmp_path, name, shape):
+        # the element count is unchanged, so only the shape check can catch it
+        _, _, _, path = self._make(tmp_path)
+
+        def reshape(h):
+            desc = next(d for d in h["arrays"] if d["name"] == name)
+            assert np.prod(desc["shape"]) == np.prod(shape)
+            desc["shape"] = shape
+            return h
+
+        self._rewrite_header(path, reshape)
+        with pytest.raises(CheckpointError, match=f"{name} has shape"):
+            load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         _, _, _, path = self._make(tmp_path)
