@@ -124,25 +124,12 @@ def _cleanup_options(config: dict) -> dict:
     }
 
 
-def _clean_log(manifest: synth.DatasetManifest, entry: synth.LogEntry, options: dict) -> preprocess.CleanupVerdict:
-    """Read one log and run cleanup on it; a log that cannot be read (missing
-    or malformed files) or fails its invariant checks on load (NaN,
-    non-increasing timestamps, ...) is rejected as validation_defects
-    instead of ending the run."""
-    try:
-        flight = read_flight_log(manifest.log_path(entry))
-    except (DataError, ValidationError) as exc:
-        log.warning("rejecting %s: %s", entry.log_id, exc)
-        return preprocess.CleanupVerdict(log_id=entry.log_id, accepted=False, reasons=["validation_defects"])
-    return preprocess.detect_corrupted(flight, **options)
-
-
 def _clean_logs(manifest: synth.DatasetManifest, options: dict):
     """Run cleanup on every log; returns (kept entries+logs, verdicts)."""
     kept = []
     verdicts = []
     for entry in manifest.logs:
-        verdict = _clean_log(manifest, entry, options)
+        verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, **options)
         verdicts.append(verdict)
         if verdict.accepted:
             kept.append((entry, verdict.trimmed))
@@ -276,17 +263,18 @@ def cmd_eval(args) -> int:
     all_metrics = []
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
-        verdict = _clean_log(manifest, entry, cleanup)
+        verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, **cleanup)
         if not verdict.accepted:
             log.warning("skipping %s: %s", entry.log_id, ",".join(verdict.reasons))
             continue
-        m = evaluate.evaluate_flight(ckpt, verdict.trimmed)
+        series = preprocess.unify_rates(verdict.trimmed)
+        m = evaluate.evaluate_flight(ckpt, series)
         m.save(metrics_dir / f"{entry.log_id}.json")
         m.write_path_compare(out / f"path_compare_{entry.log_id}.csv")
         all_metrics.append(m)
         if run_baseline:
             baseline_metrics.append(
-                evaluate.baseline_flight_metrics(verdict.trimmed, ckpt.meta["window"], dr_cfg)
+                evaluate.baseline_flight_metrics(verdict.trimmed, series, ckpt.meta["window"], dr_cfg)
             )
     if not all_metrics:
         raise DataError("every selected log was rejected by cleanup")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quat
 from .errors import ConfigError, DataError
-from .flightlog import FlightLog, write_table
+from .flightlog import FlightLog
 
 GRAVITY_MPS2 = 9.80665
 EARTH_RATE_RADPS = 7.292115e-5
@@ -89,10 +89,6 @@ class Trajectory:
         pos = self.pos_ned[idx] + alpha[:, None] * (self.pos_ned[idx + 1] - self.pos_ned[idx])
         q = quat.nlerp(self.quat[idx], self.quat[idx + 1], alpha)
         return q, vel, pos
-
-    def write_csv(self, path) -> None:
-        header = "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd"
-        write_table(path, header, self.t_us, np.hstack([self.quat, self.vel_ned, self.pos_ned]))
 
 
 def dead_reckon(log: FlightLog, cfg: DeadReckonConfig | None = None, init: NavState | None = None) -> Trajectory:

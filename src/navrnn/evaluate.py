@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .deadreckon import DeadReckonConfig, NavState, dead_reckon
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .flightlog import FlightLog, write_json, write_table
-from .preprocess import Normalization, UnifiedSeries, gather_windows, unify_rates, window_count
+from .preprocess import Normalization, UnifiedSeries, gather_windows, window_count
 from .rnn import Checkpoint, predict
 
 
@@ -126,68 +126,55 @@ def _metrics_from_series(
     )
 
 
-def predict_increments(
-    ckpt: Checkpoint, series: UnifiedSeries, window: int | None = None, stride: int = 1, batch_size: int = 256
-) -> np.ndarray:
+def predict_increments(ckpt: Checkpoint, series: UnifiedSeries, batch_size: int = 256) -> np.ndarray:
     """Predict the per-step increments for every window position of a flight.
 
-    Features are normalized with the checkpoint's stored statistics. With
-    batch_size=1 the arithmetic matches the streaming path bit for bit.
+    Windows take the checkpoint's window size at stride 1, and features are
+    normalized with its stored statistics. With batch_size=1 the arithmetic
+    matches the streaming path bit for bit.
     """
-    window = window or int(ckpt.meta.get("window", 0))
-    if window < 1:
-        raise ConfigError("window must be given here or stored in checkpoint meta")
+    window = ckpt.meta["window"]
     norm = Normalization(mean=ckpt.meta["feature_mean"], std=ckpt.meta["feature_std"])
     rows = norm.apply(series.features)
     n_labels = len(series.labels)
     if n_labels < window:
         raise DataError(f"flight too short: {n_labels} steps < window {window}")
-    windows = gather_windows(rows, window, stride, window_count(n_labels, window, stride))
+    windows = gather_windows(rows, window, 1, window_count(n_labels, window, 1))
     return predict(ckpt.params, windows, batch_size=batch_size)
 
 
-def evaluate_flight(
-    ckpt: Checkpoint,
-    log: FlightLog,
-    window: int | None = None,
-    stride: int = 1,
-    batch_size: int = 256,
-) -> FlightMetrics:
+def evaluate_flight(ckpt: Checkpoint, series: UnifiedSeries) -> FlightMetrics:
     """Metrics for one flight against its estimator ground truth.
 
-    The path is reconstructed from the true state at the first prediction
-    time (the end of the first full window); metrics cover the prediction
-    span only. The log is expected to be cleaned/trimmed already.
+    series is the unified cleaned/trimmed log. The path is reconstructed
+    from the true state at the first prediction time (the end of the first
+    full window); metrics cover the prediction span only.
     """
-    if stride != 1:
-        raise ConfigError("path reconstruction needs consecutive increments; stride must be 1")
-    series = unify_rates(log)
-    window = window or int(ckpt.meta.get("window", 0))
-    increments = predict_increments(ckpt, series, window=window, stride=1, batch_size=batch_size)
-    start = window - 1  # row index of the state the first increment builds on
+    increments = predict_increments(ckpt, series)
+    start = ckpt.meta["window"] - 1  # row index of the state the first increment builds on
     pred_pos, pred_vel = reconstruct_path(
         increments, (series.state_pos[start], series.state_vel[start])
     )
     idx = np.arange(start, start + len(increments) + 1)
     true_pos = series.state_pos[idx]
     true_vel = series.state_vel[idx]
-    return _metrics_from_series(log.log_id, series.t_us[idx], true_pos, true_vel, pred_pos, pred_vel)
+    return _metrics_from_series(series.log_id, series.t_us[idx], true_pos, true_vel, pred_pos, pred_vel)
 
 
 def baseline_flight_metrics(
-    log: FlightLog, window: int, cfg: DeadReckonConfig | None = None
+    log: FlightLog, series: UnifiedSeries, window: int, cfg: DeadReckonConfig | None = None
 ) -> FlightMetrics:
     """Dead-reckoning metrics over the same prediction span as the network.
 
-    The integrator starts from the true state at the first prediction time,
-    so both estimators get identical initial conditions.
+    series is unify_rates(log). The integrator starts from the true state
+    at the first prediction time, so both estimators get identical initial
+    conditions.
     """
-    series = unify_rates(log)
     if len(series.labels) < window:
         raise DataError(f"flight too short: {len(series.labels)} steps < window {window}")
     start = window - 1
     init = NavState(
-        quat=_quat_at_row(log, start),
+        quat=log.ekf.quat[start + 1].copy(),  # unified row r carries the estimator sample r+1
         vel_ned=series.state_vel[start].copy(),
         pos_ned=series.state_pos[start].copy(),
         t_us=int(series.t_us[start]),
@@ -203,11 +190,6 @@ def baseline_flight_metrics(
         pos,
         vel,
     )
-
-
-def _quat_at_row(log: FlightLog, row: int) -> np.ndarray:
-    # unified row r carries the estimator sample r+1
-    return log.ekf.quat[row + 1].copy()
 
 
 def aggregate_metrics(metrics: list[FlightMetrics]) -> dict:

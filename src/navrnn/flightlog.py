@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,27 +172,43 @@ class FlightLog:
     def streams(self):
         return (("imu", self.imu), ("baro", self.baro), ("mag", self.mag), ("ekf", self.ekf))
 
-    def check(self) -> None:
-        """Raise ValidationError on any invariant violation.
+    def defects(self, max_gap_s: float | None = None) -> list[str]:
+        """Every invariant the log violates, one message per defect.
 
-        Checks: non-empty streams, strictly increasing timestamps, finite
-        values, unit quaternion norms, and overlapping stream time ranges.
+        This is the one implementation of the log invariants: non-empty
+        streams, strictly increasing timestamps, finite values, unit
+        quaternion norms (a non-finite norm is a violation), overlapping
+        stream time ranges and, when max_gap_s is given, no step between
+        consecutive samples longer than max_gap_s. An empty list means the
+        log is sound.
         """
+        found = []
         for name, stream in self.streams():
             if len(stream) == 0:
-                raise ValidationError(f"{name} stream is empty")
-            if len(stream) > 1 and not np.all(np.diff(stream.t_us) > 0):
-                raise ValidationError(f"{name} timestamps are not strictly increasing")
-            for arr in _value_arrays(stream):
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError(f"{name} stream contains non-finite values")
-        norms = np.linalg.norm(self.ekf.quat, axis=1)
-        if np.any(np.abs(norms - 1.0) > QUAT_NORM_TOL):
-            raise ValidationError("ekf quaternions are not unit norm")
-        starts = [s.t_us[0] for _, s in self.streams()]
-        ends = [s.t_us[-1] for _, s in self.streams()]
-        if max(starts) > min(ends):
-            raise ValidationError("stream time ranges do not overlap")
+                found.append(f"{name} stream is empty")
+                continue
+            dt = np.diff(stream.t_us)
+            if np.any(dt <= 0):
+                found.append(f"{name} timestamps are not strictly increasing")
+            if max_gap_s is not None and np.any(dt > max_gap_s * 1e6):
+                found.append(f"{name} stream has a gap of {dt.max() * 1e-6:g} s (limit {max_gap_s:g} s)")
+            n_bad = sum(np.count_nonzero(~np.isfinite(arr)) for arr in _value_arrays(stream))
+            if n_bad:
+                found.append(f"{name} stream has {n_bad} non-finite value(s)")
+        if len(self.ekf):
+            unit = np.abs(np.linalg.norm(self.ekf.quat, axis=1) - 1.0) <= QUAT_NORM_TOL
+            if not unit.all():
+                found.append(f"ekf quaternions are not unit norm in {np.count_nonzero(~unit)} row(s)")
+        if all(len(s) for _, s in self.streams()):
+            if max(s.t_us[0] for _, s in self.streams()) > min(s.t_us[-1] for _, s in self.streams()):
+                found.append("stream time ranges do not overlap")
+        return found
+
+    def check(self) -> None:
+        """Raise ValidationError naming every defect `defects()` finds; no gap limit."""
+        found = self.defects()
+        if found:
+            raise ValidationError("; ".join(found))
 
     def crop(self, t_start_us: int, t_end_us: int) -> "FlightLog":
         """Restrict every stream to [t_start_us, t_end_us], inclusive."""
@@ -325,83 +341,3 @@ def read_flight_log(path: str | Path) -> FlightLog:
     )
     log.check()
     return log
-
-
-# ---------------------------------------------------------------------------
-# validation report
-
-
-@dataclass
-class GapDefect:
-    stream: str
-    t_start_us: int
-    gap_s: float
-
-
-@dataclass
-class ValidationReport:
-    """Defect summary produced by validate_log; ok is False on any defect."""
-
-    ok: bool
-    duration_s: float
-    gaps: list[GapDefect] = field(default_factory=list)
-    nan_counts: dict[str, int] = field(default_factory=dict)
-    quat_norm_violations: int = 0
-    nonmonotonic_streams: list[str] = field(default_factory=list)
-    empty_streams: list[str] = field(default_factory=list)
-
-    @property
-    def nan_count(self) -> int:
-        return sum(self.nan_counts.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "duration_s": self.duration_s,
-            "gaps": [{"stream": g.stream, "t_start_us": g.t_start_us, "gap_s": g.gap_s} for g in self.gaps],
-            "nan_counts": dict(self.nan_counts),
-            "quat_norm_violations": self.quat_norm_violations,
-            "nonmonotonic_streams": list(self.nonmonotonic_streams),
-            "empty_streams": list(self.empty_streams),
-        }
-
-
-def validate_log(log: FlightLog, max_gap_s: float = 1.0) -> ValidationReport:
-    """Inspect a log for defects without raising.
-
-    Reported defects: per-stream gaps longer than max_gap_s, counts of
-    non-finite sample rows, quaternion norm violations, non-monotonic or
-    empty streams. The report is a pure function of the input.
-    """
-    report = ValidationReport(ok=True, duration_s=log.duration_s)
-    for name, stream in log.streams():
-        if len(stream) == 0:
-            report.empty_streams.append(name)
-            continue
-        dt = np.diff(stream.t_us)
-        if np.any(dt <= 0):
-            report.nonmonotonic_streams.append(name)
-        big = np.nonzero(dt > max_gap_s * 1e6)[0]
-        for i in big:
-            report.gaps.append(GapDefect(name, int(stream.t_us[i]), float(dt[i]) * 1e-6))
-        bad = np.zeros(len(stream), dtype=bool)
-        for arr in _value_arrays(stream):
-            finite = np.isfinite(arr)
-            bad |= ~(finite if finite.ndim == 1 else finite.all(axis=1))
-        n_bad = int(bad.sum())
-        if n_bad:
-            report.nan_counts[name] = n_bad
-    if len(log.ekf) > 0:
-        norms = np.linalg.norm(log.ekf.quat, axis=1)
-        with np.errstate(invalid="ignore"):
-            viol = np.abs(norms - 1.0) > QUAT_NORM_TOL
-        viol |= ~np.isfinite(norms)
-        report.quat_norm_violations = int(np.sum(viol))
-    report.ok = not (
-        report.gaps
-        or report.nan_counts
-        or report.quat_norm_violations
-        or report.nonmonotonic_streams
-        or report.empty_streams
-    )
-    return report

@@ -3,22 +3,27 @@
 Sensor streams are averaged between consecutive estimator outputs to unify
 all rates to the 5 Hz label rate; barometric altitude is differenced and
 temperature passed through; labels are per-step increments of the estimator
-state. Ground time is trimmed with a velocity-hysteresis detector, corrupt
-logs are rejected, and fixed-length windows with z-scored features feed the
-network. Raw measurements are never filtered.
+state. Ground time is trimmed with a velocity-hysteresis detector. The
+cleanup verdict (clean_log, detect_corrupted) is decided here alone: a log
+that cannot be read, has a defect, never takes off or is too short is
+rejected with a reason. Fixed-length windows with z-scored features feed
+the network. Raw measurements are never filtered.
 """
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError
-from .flightlog import EkfState, FlightLog, read_json_object, validate_log, write_json
+from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
+from .flightlog import EkfState, FlightLog, read_flight_log, read_json_object, write_json
 from .synth import DatasetManifest, LogEntry
+
+logger = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("gx", "gy", "gz", "ax", "ay", "az", "temp_c", "dalt_m", "mx", "my", "mz")
 LABEL_NAMES = ("dpn", "dpe", "dpd", "dvn", "dve", "dvd")
@@ -187,14 +192,6 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
     )
 
 
-def difference(series: np.ndarray) -> np.ndarray:
-    """out[i] = series[i+1] - series[i]; length shrinks by one."""
-    series = np.asarray(series)
-    if len(series) < 2:
-        raise DataError("difference needs at least two points")
-    return np.diff(series, axis=0)
-
-
 def trim_ground_time(log: FlightLog, vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> FlightLog:
     """Crop a log to [takeoff, landing].
 
@@ -257,13 +254,15 @@ def detect_corrupted(
 ) -> CleanupVerdict:
     """Decide whether a log is usable; never raises.
 
-    Rejection reasons: validation defects (gaps, NaNs, bad quaternions),
-    no takeoff, or a post-trim duration below min_duration_s. The trimmed
-    log is attached when the verdict is positive.
+    Rejection reasons: validation defects (any defect FlightLog.defects
+    finds, with max_gap_s as its gap limit), no takeoff, or a post-trim
+    duration below min_duration_s. The trimmed log is attached when the
+    verdict is positive.
     """
     verdict = CleanupVerdict(log_id=log.log_id, accepted=False)
-    report = validate_log(log, max_gap_s=max_gap_s)
-    if not report.ok:
+    defects = log.defects(max_gap_s)
+    if defects:
+        logger.warning("rejecting %s: %s", log.log_id, "; ".join(defects))
         verdict.reasons.append("validation_defects")
         return verdict
     try:
@@ -278,6 +277,21 @@ def detect_corrupted(
     verdict.accepted = True
     verdict.trimmed = trimmed
     return verdict
+
+
+def clean_log(path: str | Path, log_id: str, **options) -> CleanupVerdict:
+    """Read one log directory and run detect_corrupted(log, **options) on it.
+
+    A log that cannot be read (missing or malformed files) or fails its
+    invariant checks on load is rejected as validation_defects, like a log
+    detect_corrupted finds defects in, so one bad log never ends a corpus.
+    """
+    try:
+        flight = read_flight_log(path)
+    except (DataError, ValidationError) as exc:
+        logger.warning("rejecting %s: %s", log_id, exc)
+        return CleanupVerdict(log_id=log_id, accepted=False, reasons=["validation_defects"])
+    return detect_corrupted(flight, **options)
 
 
 def compute_signal_weights(all_labels: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -274,10 +274,9 @@ def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = 256) -
 class LossSpec:
     kind: str = "weighted_mae"
     weights: np.ndarray | None = None
-    huber_delta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("mae", "weighted_mae", "mse", "huber"):
+        if self.kind not in ("mae", "weighted_mae"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
@@ -288,22 +287,14 @@ class LossSpec:
                 raise ConfigError("loss weights must be positive")
 
 
+def _per_signal_weights(spec: LossSpec):
+    return spec.weights if spec.kind == "weighted_mae" else 1.0
+
+
 def loss(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> float:
     """Per-sample loss averaged over the batch (if one is given)."""
-    y_hat = np.asarray(y_hat)
-    y = np.asarray(y)
-    e = y_hat.astype(np.float64) - y.astype(np.float64)
-    n = e.shape[-1]
-    if spec.kind == "mae":
-        per = np.sum(np.abs(e), axis=-1) / n
-    elif spec.kind == "weighted_mae":
-        per = np.sum(np.abs(e) * spec.weights, axis=-1) / n
-    elif spec.kind == "mse":
-        per = np.sum(e * e, axis=-1) / n
-    else:
-        d = spec.huber_delta
-        a = np.abs(e)
-        per = np.sum(np.where(a <= d, 0.5 * e * e, d * (a - 0.5 * d)), axis=-1) / n
+    e = np.asarray(y_hat).astype(np.float64) - np.asarray(y).astype(np.float64)
+    per = np.sum(np.abs(e) * _per_signal_weights(spec), axis=-1) / e.shape[-1]
     return float(np.mean(per))
 
 
@@ -311,16 +302,8 @@ def loss_grad(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Gradient of loss() w.r.t. y_hat; |e| subgradient at 0 taken as 0."""
     y_hat = np.asarray(y_hat)
     e = y_hat.astype(np.float64) - np.asarray(y, dtype=np.float64)
-    n = e.shape[-1]
     batch = e.shape[0] if e.ndim == 2 else 1
-    if spec.kind == "mae":
-        d = np.sign(e) / n
-    elif spec.kind == "weighted_mae":
-        d = np.sign(e) * spec.weights / n
-    elif spec.kind == "mse":
-        d = 2.0 * e / n
-    else:
-        d = np.clip(e, -spec.huber_delta, spec.huber_delta) / n
+    d = np.sign(e) * _per_signal_weights(spec) / e.shape[-1]
     return (d / batch).astype(y_hat.dtype)
 
 
@@ -447,7 +430,7 @@ class Checkpoint(NamedTuple):
     meta: dict
 
 
-REQUIRED_META = ("feature_mean", "feature_std", "loss_weights")
+REQUIRED_META = ("window", "feature_mean", "feature_std", "loss_weights")
 
 
 def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path: str | Path) -> None:
@@ -455,7 +438,8 @@ def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path:
 
     Arrays are stored as little-endian float32 (the training precision), so
     the round trip is bit exact for float32 parameters. meta must carry the
-    feature normalization and loss weights; inference is self-contained.
+    window, the feature normalization and the loss weights; inference is
+    self-contained.
     """
     for key in REQUIRED_META:
         if key not in meta:
@@ -481,6 +465,28 @@ def _valid_array_desc(desc) -> bool:
         return False
     shape = desc.get("shape")
     return isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+
+
+def _check_meta(meta: dict, cfg: NetworkConfig, path: Path) -> None:
+    """Raise CheckpointError unless meta holds what inference reads: a
+    positive int window and period_ms (when present), input_size finite
+    feature means and positive stds, and output_size positive loss weights."""
+    for key in ("window", "period_ms"):
+        value = meta.get(key, 1)  # window is in REQUIRED_META; period_ms may be absent
+        if type(value) is not int or value < 1:
+            raise CheckpointError(f"{path}: meta {key} must be a positive integer, got {value!r}")
+    for key, size, positive in (
+        ("feature_mean", cfg.input_size, False),
+        ("feature_std", cfg.input_size, True),
+        ("loss_weights", cfg.output_size, True),
+    ):
+        value = meta[key]
+        numbers = isinstance(value, list) and len(value) == size and all(type(v) in (int, float) for v in value)
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf and fails below
+            arr = np.array(value if numbers else [np.nan], dtype=np.float32)  # the precision inference uses
+        if not np.all(np.isfinite(arr)) or (positive and not np.all(arr > 0)):
+            kind = "finite positive" if positive else "finite"
+            raise CheckpointError(f"{path}: meta {key} must be {size} {kind} numbers")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -518,6 +524,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         cfg = NetworkConfig(**header["config"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad config ({exc})") from exc
+    _check_meta(meta, cfg, path)
 
     arrays = {}
     offset = 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .flightlog import FlightLog
-from .preprocess import SENSORS, FeatureAssembler, Normalization, sensor_samples, unify_rates
+from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, sensor_samples, unify_rates
 from .rnn import Checkpoint, forward
 from .evaluate import predict_increments
 
@@ -32,15 +32,15 @@ _DONE = object()
 
 @dataclass
 class StreamConfig:
-    period_ms: int = 200
+    """Replay settings. The bin period is the checkpoint's `period_ms` (200 ms
+    when its meta has none), so a stream always bins as training did."""
+
     jitter_ms: float = 0.0
     queue_capacity: int = 1024
     replay_speed: float = 0.0  # 0 = as fast as possible, straight from the log's arrays
     seed: int = 0
 
     def __post_init__(self):
-        if self.period_ms <= 0:
-            raise ConfigError("period_ms must be positive")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be >= 1")
         if self.jitter_ms < 0 or self.replay_speed < 0:
@@ -181,15 +181,10 @@ def _predict(ckpt: Checkpoint, cfg: StreamConfig, anchor_us: int, readers: dict,
     in the bin.
     """
     meta = ckpt.meta
-    window = int(meta.get("window", 0))
-    if window < 1:
-        raise ConfigError("checkpoint meta lacks a window size")
-    meta_period = meta.get("period_ms")
-    if meta_period is not None and int(meta_period) != cfg.period_ms:
-        raise ConfigError(f"checkpoint was trained at {meta_period} ms bins, stream runs {cfg.period_ms} ms")
+    window = meta["window"]
     norm = Normalization(mean=meta["feature_mean"], std=meta["feature_std"])
     rng = np.random.default_rng(cfg.seed)
-    period_us = cfg.period_ms * 1000
+    period_us = meta.get("period_ms", WindowedDataset.period_ms) * 1000
     assembler = FeatureAssembler(anchor_us)
     rows: list[np.ndarray] = []
     wall_start = time.perf_counter()

@@ -17,7 +17,7 @@ from navrnn.cli import main
 from navrnn.deadreckon import DeadReckonConfig, dead_reckon
 from navrnn.evaluate import predict_increments, reconstruct_path
 from navrnn.flightlog import read_flight_log
-from navrnn.preprocess import difference, unify_rates
+from navrnn.preprocess import unify_rates
 from navrnn.rnn import (
     LossSpec,
     NetworkConfig,
@@ -30,6 +30,7 @@ from navrnn.rnn import (
 from navrnn.stream import StreamConfig, compare_online_offline, make_queues, online_infer, replay, run_stream
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 from navrnn.train import TrainConfig, transfer_fit
+from oracles import difference
 
 
 def _report(num, ok, detail):

@@ -5,6 +5,7 @@ import pytest
 
 from navrnn import stream
 from navrnn.cli import main
+from navrnn.rnn import load_checkpoint, save_checkpoint
 
 
 def _write_config(path: Path, payload: dict) -> str:
@@ -149,6 +150,24 @@ def test_stream_command(tiny_pipeline, monkeypatch):
     assert len(lines) > 10
     assert len(calls) == 1
     assert report["n_online"] == len(lines) - 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("window", "x"), ("period_ms", "abc"), ("feature_mean", [0.0] * 3), ("feature_std", [0.0] * 11),
+     ("loss_weights", [-1.0] * 6)],
+    ids=["window", "period_ms", "short_feature_mean", "zero_feature_std", "negative_loss_weight"],
+)
+def test_bad_checkpoint_meta_exits_two(tiny_pipeline, tmp_path, capsys, key, value):
+    ckpt = load_checkpoint(tiny_pipeline / "model" / "model_final.navc")
+    save_checkpoint(ckpt.params, ckpt.config, {**ckpt.meta, key: value}, tmp_path / "bad.navc")
+    log_id = json.loads((tiny_pipeline / "pre" / "split.json").read_text())["val"][0]
+    cfg = _write_config(
+        tmp_path / "stream.json", {"checkpoint": str(tmp_path / "bad.navc"), "log": str(tiny_pipeline / "data" / log_id)}
+    )
+    capsys.readouterr()
+    assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"meta {key}" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one():

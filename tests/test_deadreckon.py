@@ -188,14 +188,6 @@ class TestDeadReckon:
         np.testing.assert_allclose(-s.vel_ned, states[0].vel_ned, atol=1e-8)
         assert min(np.linalg.norm(s.quat - states[0].quat), np.linalg.norm(s.quat + states[0].quat)) < 1e-8
 
-    def test_trajectory_csv_export(self, tmp_path):
-        log = generate_flight(SynthConfig(duration_s=5.0, profile="hover", seed=0))
-        traj = dead_reckon(log, DeadReckonConfig())
-        traj.write_csv(tmp_path / "traj.csv")
-        lines = (tmp_path / "traj.csv").read_text().splitlines()
-        assert lines[0] == "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd"
-        assert len(lines) == len(traj) + 1
-
 
 @pytest.fixture(scope="module")
 def biased_flight():

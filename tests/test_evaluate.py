@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navrnn.errors import ConfigError, DataError
+from navrnn.errors import DataError
 from navrnn.evaluate import (
     aggregate_metrics,
     baseline_flight_metrics,
@@ -12,7 +12,8 @@ from navrnn.evaluate import (
     evaluate_flight,
     reconstruct_path,
 )
-from navrnn.preprocess import difference, unify_rates
+from navrnn.preprocess import unify_rates
+from oracles import difference
 
 
 class TestReconstruct:
@@ -114,12 +115,13 @@ class TestEvaluateFlight:
 
     def test_trained_net_beats_biased_dead_reckoning(self, small_ckpt):
         log = small_ckpt["val_log"]
-        m = evaluate_flight(small_ckpt["ckpt"], log)
-        b = baseline_flight_metrics(log, small_ckpt["window"])
+        series = unify_rates(log)
+        m = evaluate_flight(small_ckpt["ckpt"], series)
+        b = baseline_flight_metrics(log, series, small_ckpt["window"])
         assert m.mpe_m < b.mpe_m
 
     def test_metric_fields_consistent(self, small_ckpt):
-        m = evaluate_flight(small_ckpt["ckpt"], small_ckpt["val_log"])
+        m = evaluate_flight(small_ckpt["ckpt"], unify_rates(small_ckpt["val_log"]))
         assert m.tn_mpe_m_per_min == pytest.approx(m.mpe_m / m.duration_min)
         assert m.mpe_m == pytest.approx(np.max(m.pos_error_m))
         # the reported metrics are the ones the brute-force oracle checks
@@ -129,17 +131,13 @@ class TestEvaluateFlight:
         assert m.pos_error_m[0] == 0.0  # starts from the true state
         assert m.distance_m > 0
 
-    def test_stride_must_be_one(self, small_ckpt):
-        with pytest.raises(ConfigError):
-            evaluate_flight(small_ckpt["ckpt"], small_ckpt["val_log"], stride=2)
-
     def test_too_short_flight(self, small_ckpt):
         log = small_ckpt["val_log"].crop(0, 2_000_000)
         with pytest.raises(DataError):
-            evaluate_flight(small_ckpt["ckpt"], log)
+            evaluate_flight(small_ckpt["ckpt"], unify_rates(log))
 
     def test_artifacts_written(self, small_ckpt, tmp_path):
-        m = evaluate_flight(small_ckpt["ckpt"], small_ckpt["val_log"])
+        m = evaluate_flight(small_ckpt["ckpt"], unify_rates(small_ckpt["val_log"]))
         m.save(tmp_path / "metrics.json")
         m.write_path_compare(tmp_path / "cmp.csv")
         import json

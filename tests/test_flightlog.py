@@ -11,7 +11,6 @@ from navrnn.flightlog import (
     ImuStream,
     MagStream,
     read_flight_log,
-    validate_log,
     write_flight_log,
 )
 from navrnn.synth import SynthConfig, generate_flight
@@ -119,34 +118,33 @@ def test_missing_file_and_malformed_row(tmp_path):
 
 
 def test_validate_clean_log():
-    report = validate_log(_tiny_log())
-    assert report.ok
-    assert not report.gaps and not report.nan_counts and report.quat_norm_violations == 0
+    assert _tiny_log().defects(max_gap_s=1.0) == []
 
 
 def test_validate_detects_gap():
     log = _tiny_log(n=50)
-    log.imu.t_us[25:] += 5_000_000  # 5 s hole
-    report = validate_log(log, max_gap_s=1.0)
-    assert not report.ok
-    assert any(g.stream == "imu" and g.gap_s > 4.9 for g in report.gaps)
+    t = log.imu.t_us.copy()  # the tiny log's sensors share one time array
+    t[25:] += 5_000_000  # 5 s hole
+    log.imu = ImuStream(t, log.imu.gyro, log.imu.accel)
+    assert log.defects(max_gap_s=1.0) == ["imu stream has a gap of 5.012 s (limit 1 s)"]
+    assert log.defects() == []  # no gap limit: the reader's check
 
 
 def test_validate_counts_nan():
     log = _tiny_log()
     log.imu.accel[3, 1] = np.nan
-    report = validate_log(log)
-    assert not report.ok
-    assert report.nan_counts == {"imu": 1}
-    assert report.nan_count == 1
+    log.imu.gyro[7, 0] = np.inf
+    assert log.defects() == ["imu stream has 2 non-finite value(s)"]
+    with pytest.raises(ValidationError, match="non-finite"):
+        log.check()
 
 
 def test_validate_is_pure():
     log = _tiny_log()
     log.baro.alt_m[4] = np.inf
-    r1 = validate_log(log)
-    r2 = validate_log(log)
-    assert r1.to_dict() == r2.to_dict()
+    before = log.baro.alt_m.copy()
+    assert log.defects() == log.defects() == ["baro stream has 1 non-finite value(s)"]
+    assert np.array_equal(log.baro.alt_m, before)
 
 
 @st.composite

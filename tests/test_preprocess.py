@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navrnn.errors import ConfigError, DataError, EmptyBinError, NoTakeoffError
-from navrnn.flightlog import BaroStream, EkfStream, FlightLog, ImuStream, MagStream
+from navrnn.errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
+from navrnn.flightlog import (
+    BaroStream,
+    EkfStream,
+    FlightLog,
+    ImuStream,
+    MagStream,
+    read_flight_log,
+    write_flight_log,
+)
 from navrnn.preprocess import (
     FeatureAssembler,
     Normalization,
     build_dataset,
     compute_signal_weights,
     detect_corrupted,
-    difference,
     load_windows,
     make_windows,
     save_windows,
@@ -24,6 +31,7 @@ from navrnn.preprocess import (
     window_count,
 )
 from navrnn.synth import DatasetManifest, LogEntry, SynthConfig, generate_flight
+from oracles import difference
 
 
 def _log_from_arrays(t_imu, gyro, accel, t_baro, temp, alt, t_mag, mag, t_ekf, pos, vel):
@@ -174,6 +182,8 @@ class TestUnifyRates:
 
 
 class TestDifference:
+    """The differencing oracle of criterion 3, against hand values."""
+
     def test_constant_sequence(self):
         assert np.all(difference(np.ones((10, 3))) == 0.0)
 
@@ -185,7 +195,7 @@ class TestDifference:
         assert difference(x).shape == (16, 6)
 
     def test_too_short(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             difference(np.array([1.0]))
 
     @settings(max_examples=50, deadline=None)
@@ -225,6 +235,49 @@ class TestTrim:
             trim_ground_time(log)
 
 
+@pytest.fixture(scope="module")
+def airborne_log():
+    """A flight cleanup accepts; the defect cases below each break one invariant of it."""
+    return generate_flight(SynthConfig(duration_s=90.0, profile="circle", seed=4))
+
+
+def _empty_mag(log):
+    return replace(log, mag=MagStream(log.mag.t_us[:0], log.mag.mag[:0]))
+
+
+def _repeated_baro_timestamp(log):
+    t = log.baro.t_us.copy()
+    t[5] = t[4]
+    return replace(log, baro=BaroStream(t, log.baro.temp_c, log.baro.alt_m))
+
+
+def _nan_accel(log):
+    accel = log.imu.accel.copy()
+    accel[10, 0] = np.nan
+    return replace(log, imu=ImuStream(log.imu.t_us, log.imu.gyro, accel))
+
+
+def _non_unit_quat(log):
+    quat = log.ekf.quat.copy()
+    quat[3] *= 0.5
+    return replace(log, ekf=EkfStream(log.ekf.t_us, quat, log.ekf.vel_ned, log.ekf.pos_ned))
+
+
+def _mag_after_the_rest(log):
+    # the magnetometer starts after every other stream has ended
+    shift = log.ekf.t_us[-1] + 1_000_000 - log.mag.t_us[0]
+    return replace(log, mag=MagStream(log.mag.t_us + shift, log.mag.mag))
+
+
+DEFECTS = {
+    "empty_stream": _empty_mag,
+    "repeated_timestamp": _repeated_baro_timestamp,
+    "nan": _nan_accel,
+    "non_unit_quaternion": _non_unit_quat,
+    "non_overlap": _mag_after_the_rest,
+}
+
+
 class TestCleanup:
     def test_clean_flight_accepted(self):
         log = generate_flight(SynthConfig(duration_s=90.0, profile="survey_lawnmower", seed=4))
@@ -249,6 +302,24 @@ class TestCleanup:
         log.imu.accel[10, 0] = np.nan
         verdict = detect_corrupted(log)
         assert verdict.reasons == ["validation_defects"]
+
+    @pytest.mark.parametrize("defect", list(DEFECTS.values()), ids=list(DEFECTS))
+    def test_defect_fails_check_and_cleanup(self, airborne_log, defect):
+        log = defect(airborne_log)
+        with pytest.raises(ValidationError):
+            log.check()
+        assert detect_corrupted(log).reasons == ["validation_defects"]
+
+    def test_gap_read_but_rejected_by_cleanup(self, airborne_log, tmp_path):
+        # the reader applies no gap limit; cleanup's 1 s limit rejects a 1.25 s magnetometer gap
+        assert detect_corrupted(airborne_log).accepted
+        m = airborne_log.mag
+        t_mid = m.t_us[len(m) // 2]
+        keep = (m.t_us <= t_mid) | (m.t_us >= t_mid + 1_250_000)
+        write_flight_log(replace(airborne_log, mag=MagStream(m.t_us[keep], m.mag[keep])), tmp_path / "log")
+        log = read_flight_log(tmp_path / "log")
+        assert np.diff(log.mag.t_us).max() >= 1_250_000
+        assert detect_corrupted(log).reasons == ["validation_defects"]
 
     def test_cleanup_shrinks_corpus(self):
         logs = [generate_flight(SynthConfig(duration_s=70.0, profile="circle", seed=i)) for i in range(2)]

@@ -7,8 +7,9 @@ import pytest
 
 from navrnn.errors import ConfigError
 from navrnn.evaluate import predict_increments
-from navrnn.flightlog import BaroStream, validate_log
+from navrnn.flightlog import BaroStream
 from navrnn.preprocess import unify_rates
+from navrnn.rnn import Checkpoint
 from navrnn.stream import (
     SensorQueue,
     StreamConfig,
@@ -169,7 +170,7 @@ class TestOnlineInference:
         b = full.baro
         keep = b.t_us >= full.ekf.t_us[0] + 500_000
         log = replace(full, baro=BaroStream(b.t_us[keep], b.temp_c[keep], b.alt_m[keep]))
-        assert validate_log(log).ok
+        assert log.defects(max_gap_s=1.0) == []
         ckpt = small_ckpt["ckpt"]
         report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
         assert report["bitwise_equal"]
@@ -178,9 +179,14 @@ class TestOnlineInference:
         monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"{self.name} started"))
         assert run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
 
-    def test_period_mismatch_rejected(self, small_ckpt):
-        with pytest.raises(ConfigError, match="ms"):
-            run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(period_ms=100))
+    def test_period_from_checkpoint(self, small_ckpt):
+        ckpt = small_ckpt["ckpt"]
+        for period_ms in (100, None):  # None: a meta without period_ms bins at 200 ms
+            meta = {k: v for k, v in ckpt.meta.items() if k != "period_ms"}
+            if period_ms is not None:
+                meta["period_ms"] = period_ms
+            preds = run_stream(small_ckpt["val_log"], Checkpoint(ckpt.params, ckpt.config, meta), StreamConfig())
+            assert set(np.diff([p.t_us for p in preds])) == {(period_ms or 200) * 1000}
 
     def test_latency_reported(self, small_ckpt):
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
@@ -205,8 +211,6 @@ class TestOfflineParity:
 
 
 def test_stream_config_validation():
-    with pytest.raises(ConfigError):
-        StreamConfig(period_ms=0)
     with pytest.raises(ConfigError):
         StreamConfig(queue_capacity=0)
     with pytest.raises(ConfigError):
