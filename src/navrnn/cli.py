@@ -43,13 +43,16 @@ _REQUIRED = object()
 
 def _get(config: dict, key: str, kind=str, default=_REQUIRED):
     """config[key] converted by kind (str, int, float, dict or list); a missing
-    or null key gives default. A missing required key, or a value that kind
-    cannot convert, raises ConfigError naming the key."""
+    or null key gives default. A list or dict key takes only a JSON array or
+    object. A missing required key, or a value that kind cannot convert,
+    raises ConfigError naming the key."""
     value = config.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"config needs {key!r}")
         return default
+    if kind in (list, dict) and not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -264,8 +267,7 @@ def cmd_eval(args) -> int:
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
         verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, **cleanup)
-        if not verdict.accepted:
-            log.warning("skipping %s: %s", entry.log_id, ",".join(verdict.reasons))
+        if not verdict.accepted:  # cleanup has logged why
             continue
         series = preprocess.unify_rates(verdict.trimmed)
         m = evaluate.evaluate_flight(ckpt, series)

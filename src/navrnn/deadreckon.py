@@ -126,8 +126,9 @@ def _integrate_attitude(q0: np.ndarray, dtheta: np.ndarray, dt: np.ndarray, cfg:
 
     Each step takes the earth rate out of the delta angle (when enabled),
     applies it through the exact exponential map and renormalises. The
-    arithmetic is quat.rotate_inverse, from_rotvec (sin(a/2)/a taken as
-    np.sinc does), multiply and normalize on plain floats, in their order.
+    arithmetic is quat.rotate_inverse, the exponential map (sin(a/2)/a
+    taken as np.sinc does), multiply and normalize on plain floats, in
+    their order.
     """
     sqrt, sin, cos, pi = math.sqrt, math.sin, math.cos, math.pi
     eps = float(np.finfo(float).eps)

@@ -3,9 +3,12 @@
 A flight log holds the four multi-rate streams a low-cost autopilot records:
 inertial samples (gyro + accelerometer), barometer, magnetometer, and the
 estimator's state output (quaternion attitude, NED velocity and position).
-Timestamps are integer microseconds from log start. On disk a log is a
-directory of four CSV files plus a JSON manifest; floats are written with
-17 significant digits so the decimal round trip is bit exact.
+Each stream is a timestamp array and one value matrix whose columns its
+class declares once, in COLUMNS; the CSV header and the named column views
+(gyro, accel, ...) follow from that declaration. Timestamps are integer
+microseconds from log start. On disk a log is a directory of four CSV
+files plus a JSON manifest; floats are written with 17 significant digits
+so the decimal round trip is bit exact.
 
 The same text codec serves every JSON and CSV file the toolkit reads or
 writes: `write_json`/`read_json_object` and `write_table`/`read_table`.
@@ -18,6 +21,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,99 +42,75 @@ SOURCES = ("recorded", "synthetic")
 
 QUAT_NORM_TOL = 1e-3
 
-_CSV_HEADERS = {
-    "imu": "t_us,gx,gy,gz,ax,ay,az",
-    "baro": "t_us,temp_c,alt_m",
-    "mag": "t_us,mx,my,mz",
-    "ekf": "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd",
-}
-
-
-def _as_time(t) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(t), dtype=np.int64)
-
-
-def _as_f64(a, cols: int | None = None) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a), dtype=np.float64)
-    if cols is not None and (out.ndim != 2 or out.shape[1] != cols):
-        raise ValidationError(f"expected array with {cols} columns, got shape {out.shape}")
-    return out
+def _view(start: int, stop: int | None = None) -> property:
+    """A read-only attribute viewing value column start, or columns [start, stop)."""
+    cols = start if stop is None else slice(start, stop)
+    return property(lambda stream: stream.values[:, cols])
 
 
 @dataclass
-class ImuStream:
+class _Stream:
+    """Timestamps t_us [n] (int64) and one value matrix values [n, d] (float64)
+    whose columns are the class's COLUMNS. Both are copied on construction,
+    so no two streams share an array."""
+
+    COLUMNS: ClassVar[tuple[str, ...]]
+
+    t_us: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.t_us = np.array(self.t_us, dtype=np.int64)
+        self.values = np.array(self.values, dtype=np.float64)
+        shape = (len(self.t_us), len(self.COLUMNS))
+        if self.t_us.ndim != 1 or self.values.shape != shape:
+            raise ValidationError(
+                f"{type(self).__name__} needs times [n] and values [n, {shape[1]}], "
+                f"got {self.t_us.shape} and {self.values.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(("t_us", *cls.COLUMNS))
+
+
+class ImuStream(_Stream):
     """Gyro (rad/s) and accelerometer (m/s^2, specific force) in body frame."""
 
-    t_us: np.ndarray
-    gyro: np.ndarray
-    accel: np.ndarray
-
-    def __post_init__(self):
-        self.t_us = _as_time(self.t_us)
-        self.gyro = _as_f64(self.gyro, 3)
-        self.accel = _as_f64(self.accel, 3)
-        if not (len(self.t_us) == len(self.gyro) == len(self.accel)):
-            raise ValidationError("imu stream arrays have mismatched lengths")
-
-    def __len__(self) -> int:
-        return len(self.t_us)
+    COLUMNS = ("gx", "gy", "gz", "ax", "ay", "az")
+    gyro = _view(0, 3)
+    accel = _view(3, 6)
 
 
-@dataclass
-class BaroStream:
+class BaroStream(_Stream):
     """Barometer temperature (degC) and pressure altitude (m)."""
 
-    t_us: np.ndarray
-    temp_c: np.ndarray
-    alt_m: np.ndarray
-
-    def __post_init__(self):
-        self.t_us = _as_time(self.t_us)
-        self.temp_c = _as_f64(self.temp_c)
-        self.alt_m = _as_f64(self.alt_m)
-        if not (len(self.t_us) == len(self.temp_c) == len(self.alt_m)):
-            raise ValidationError("baro stream arrays have mismatched lengths")
-
-    def __len__(self) -> int:
-        return len(self.t_us)
+    COLUMNS = ("temp_c", "alt_m")
+    temp_c = _view(0)
+    alt_m = _view(1)
 
 
-@dataclass
-class MagStream:
+class MagStream(_Stream):
     """Magnetic field components (gauss) in body frame."""
 
-    t_us: np.ndarray
-    mag: np.ndarray
-
-    def __post_init__(self):
-        self.t_us = _as_time(self.t_us)
-        self.mag = _as_f64(self.mag, 3)
-        if len(self.t_us) != len(self.mag):
-            raise ValidationError("mag stream arrays have mismatched lengths")
-
-    def __len__(self) -> int:
-        return len(self.t_us)
+    COLUMNS = ("mx", "my", "mz")
+    mag = _view(0, 3)
 
 
-@dataclass
-class EkfStream:
+class EkfStream(_Stream):
     """Estimator output: unit quaternion, NED velocity (m/s), NED position (m)."""
 
-    t_us: np.ndarray
-    quat: np.ndarray
-    vel_ned: np.ndarray
-    pos_ned: np.ndarray
+    COLUMNS = ("q1", "q2", "q3", "q4", "vn", "ve", "vd", "pn", "pe", "pd")
+    quat = _view(0, 4)
+    vel_ned = _view(4, 7)
+    pos_ned = _view(7, 10)
 
-    def __post_init__(self):
-        self.t_us = _as_time(self.t_us)
-        self.quat = _as_f64(self.quat, 4)
-        self.vel_ned = _as_f64(self.vel_ned, 3)
-        self.pos_ned = _as_f64(self.pos_ned, 3)
-        if not (len(self.t_us) == len(self.quat) == len(self.vel_ned) == len(self.pos_ned)):
-            raise ValidationError("ekf stream arrays have mismatched lengths")
 
-    def __len__(self) -> int:
-        return len(self.t_us)
+# a log's streams, in file and field order
+STREAMS = {"imu": ImuStream, "baro": BaroStream, "mag": MagStream, "ekf": EkfStream}
 
 
 @dataclass
@@ -170,7 +150,7 @@ class FlightLog:
         return float(self.ekf.t_us[-1] - self.ekf.t_us[0]) * 1e-6
 
     def streams(self):
-        return (("imu", self.imu), ("baro", self.baro), ("mag", self.mag), ("ekf", self.ekf))
+        return tuple((name, getattr(self, name)) for name in STREAMS)
 
     def defects(self, max_gap_s: float | None = None) -> list[str]:
         """Every invariant the log violates, one message per defect.
@@ -192,7 +172,7 @@ class FlightLog:
                 found.append(f"{name} timestamps are not strictly increasing")
             if max_gap_s is not None and np.any(dt > max_gap_s * 1e6):
                 found.append(f"{name} stream has a gap of {dt.max() * 1e-6:g} s (limit {max_gap_s:g} s)")
-            n_bad = sum(np.count_nonzero(~np.isfinite(arr)) for arr in _value_arrays(stream))
+            n_bad = np.count_nonzero(~np.isfinite(stream.values))
             if n_bad:
                 found.append(f"{name} stream has {n_bad} non-finite value(s)")
         if len(self.ekf):
@@ -213,32 +193,11 @@ class FlightLog:
     def crop(self, t_start_us: int, t_end_us: int) -> "FlightLog":
         """Restrict every stream to [t_start_us, t_end_us], inclusive."""
 
-        def sel(stream):
-            return (stream.t_us >= t_start_us) & (stream.t_us <= t_end_us)
+        def cropped(stream):
+            keep = (stream.t_us >= t_start_us) & (stream.t_us <= t_end_us)
+            return type(stream)(stream.t_us[keep], stream.values[keep])
 
-        m_imu, m_baro, m_mag, m_ekf = (sel(s) for _, s in self.streams())
-        return replace(
-            self,
-            imu=ImuStream(self.imu.t_us[m_imu], self.imu.gyro[m_imu], self.imu.accel[m_imu]),
-            baro=BaroStream(self.baro.t_us[m_baro], self.baro.temp_c[m_baro], self.baro.alt_m[m_baro]),
-            mag=MagStream(self.mag.t_us[m_mag], self.mag.mag[m_mag]),
-            ekf=EkfStream(
-                self.ekf.t_us[m_ekf],
-                self.ekf.quat[m_ekf],
-                self.ekf.vel_ned[m_ekf],
-                self.ekf.pos_ned[m_ekf],
-            ),
-        )
-
-
-def _value_arrays(stream) -> tuple[np.ndarray, ...]:
-    if isinstance(stream, ImuStream):
-        return (stream.gyro, stream.accel)
-    if isinstance(stream, BaroStream):
-        return (stream.temp_c, stream.alt_m)
-    if isinstance(stream, MagStream):
-        return (stream.mag,)
-    return (stream.quat, stream.vel_ned, stream.pos_ned)
+        return replace(self, **{name: cropped(stream) for name, stream in self.streams()})
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +274,7 @@ def write_flight_log(log: FlightLog, path: str | Path) -> None:
     }
     write_json(manifest, root / "manifest.json")
     for name, stream in log.streams():
-        write_table(root / f"{name}.csv", _CSV_HEADERS[name], stream.t_us, np.column_stack(_value_arrays(stream)))
+        write_table(root / f"{name}.csv", stream.csv_header(), stream.t_us, stream.values)
 
 
 def read_flight_log(path: str | Path) -> FlightLog:
@@ -325,19 +284,12 @@ def read_flight_log(path: str | Path) -> FlightLog:
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    t_imu, v_imu = read_table(root / "imu.csv", _CSV_HEADERS["imu"])
-    t_baro, v_baro = read_table(root / "baro.csv", _CSV_HEADERS["baro"])
-    t_mag, v_mag = read_table(root / "mag.csv", _CSV_HEADERS["mag"])
-    t_ekf, v_ekf = read_table(root / "ekf.csv", _CSV_HEADERS["ekf"])
     log = FlightLog(
         log_id=str(manifest.get("log_id", root.name)),
         vehicle_type=str(manifest.get("vehicle_type", "unknown")),
         source=str(manifest.get("source", "recorded")),
-        imu=ImuStream(t_imu, v_imu[:, 0:3], v_imu[:, 3:6]),
-        baro=BaroStream(t_baro, v_baro[:, 0], v_baro[:, 1]),
-        mag=MagStream(t_mag, v_mag),
-        ekf=EkfStream(t_ekf, v_ekf[:, 0:4], v_ekf[:, 4:7], v_ekf[:, 7:10]),
         home_lat_deg=manifest.get("home_lat_deg"),
+        **{name: cls(*read_table(root / f"{name}.csv", cls.csv_header())) for name, cls in STREAMS.items()},
     )
     log.check()
     return log

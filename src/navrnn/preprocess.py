@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
-from .flightlog import EkfState, FlightLog, read_flight_log, read_json_object, write_json
+from .flightlog import STREAMS, EkfState, FlightLog, read_flight_log, read_json_object, write_json
 from .synth import DatasetManifest, LogEntry
 
 logger = logging.getLogger(__name__)
 
-FEATURE_NAMES = ("gx", "gy", "gz", "ax", "ay", "az", "temp_c", "dalt_m", "mx", "my", "mz")
+# the inertial columns, barometer temperature and altitude difference, then the magnetometer columns
+FEATURE_NAMES = (*STREAMS["imu"].COLUMNS, STREAMS["baro"].COLUMNS[0], "dalt_m", *STREAMS["mag"].COLUMNS)
 LABEL_NAMES = ("dpn", "dpe", "dpd", "dvn", "dve", "dvd")
 N_FEATURES = len(FEATURE_NAMES)
 N_LABELS = len(LABEL_NAMES)
@@ -58,17 +59,8 @@ class UnifiedSeries:
         return len(self.t_us)
 
 
-# raw value columns per sensor, in FEATURE_NAMES order (the barometer gives temperature and altitude)
-SENSORS = {"imu": 6, "baro": 2, "mag": 3}
-
-
-def sensor_samples(log: FlightLog) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each sensor's timestamps and raw values, columns in FEATURE_NAMES order."""
-    return {
-        "imu": (log.imu.t_us, np.hstack([log.imu.gyro, log.imu.accel])),
-        "baro": (log.baro.t_us, np.column_stack([log.baro.temp_c, log.baro.alt_m])),
-        "mag": (log.mag.t_us, log.mag.mag),
-    }
+# the sensor streams features are built from, in FEATURE_NAMES order, and their value widths
+SENSORS = {name: len(STREAMS[name].COLUMNS) for name in ("imu", "baro", "mag")}
 
 
 class FeatureAssembler:
@@ -162,8 +154,9 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
     if n < 1:
         raise DataError("need at least two estimator samples")
     assembler = FeatureAssembler(t_edges[0])
-    for sensor, (t_us, values) in sensor_samples(log).items():
-        assembler.add(sensor, t_us, values)
+    for sensor in SENSORS:
+        stream = getattr(log, sensor)
+        assembler.add(sensor, stream.t_us, stream.values)
     features, empty = assembler.close(t_edges[1:])
     if len(features) < n:
         raise DataError("a sensor stream has no samples")
@@ -252,7 +245,8 @@ def detect_corrupted(
     vel_thresh_mps: float = 0.5,
     hold_s: float = 1.0,
 ) -> CleanupVerdict:
-    """Decide whether a log is usable; never raises.
+    """Decide whether a log is usable; never raises. A rejected log is logged
+    once, at WARNING, with its reason.
 
     Rejection reasons: validation defects (any defect FlightLog.defects
     finds, with max_gap_s as its gap limit), no takeoff, or a post-trim
@@ -262,18 +256,14 @@ def detect_corrupted(
     verdict = CleanupVerdict(log_id=log.log_id, accepted=False)
     defects = log.defects(max_gap_s)
     if defects:
-        logger.warning("rejecting %s: %s", log.log_id, "; ".join(defects))
-        verdict.reasons.append("validation_defects")
-        return verdict
+        return _reject(verdict, "validation_defects", "; ".join(defects))
     try:
         trimmed = trim_ground_time(log, vel_thresh_mps=vel_thresh_mps, hold_s=hold_s)
     except NoTakeoffError:
-        verdict.reasons.append("no_takeoff")
-        return verdict
+        return _reject(verdict, "no_takeoff", f"no sustained motion above {vel_thresh_mps:g} m/s")
     verdict.post_trim_duration_s = trimmed.duration_s
     if trimmed.duration_s < min_duration_s:
-        verdict.reasons.append("too_short")
-        return verdict
+        return _reject(verdict, "too_short", f"{trimmed.duration_s:g} s after trimming (minimum {min_duration_s:g} s)")
     verdict.accepted = True
     verdict.trimmed = trimmed
     return verdict
@@ -289,9 +279,15 @@ def clean_log(path: str | Path, log_id: str, **options) -> CleanupVerdict:
     try:
         flight = read_flight_log(path)
     except (DataError, ValidationError) as exc:
-        logger.warning("rejecting %s: %s", log_id, exc)
-        return CleanupVerdict(log_id=log_id, accepted=False, reasons=["validation_defects"])
+        return _reject(CleanupVerdict(log_id=log_id, accepted=False), "validation_defects", str(exc))
     return detect_corrupted(flight, **options)
+
+
+def _reject(verdict: CleanupVerdict, reason: str, detail: str) -> CleanupVerdict:
+    """Record reason on a rejected verdict, with the one WARNING line each rejected log gets."""
+    logger.warning("rejecting %s (%s): %s", verdict.log_id, reason, detail)
+    verdict.reasons.append(reason)
+    return verdict
 
 
 def compute_signal_weights(all_labels: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -40,18 +40,8 @@ def conjugate(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_rotvec(rv: np.ndarray) -> np.ndarray:
-    """Exact exponential map: rotation vector (axis * angle) to quaternion."""
-    rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv, axis=-1, keepdims=True)
-    half = 0.5 * angle
-    # sin(half)/angle, continuous through angle = 0
-    scale = 0.5 * np.sinc(half / np.pi)
-    return np.concatenate([np.cos(half), scale * rv], axis=-1)
-
-
 def to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Logarithm map, inverse of from_rotvec for rotations below pi."""
+    """Logarithm map: quaternion to rotation vector, exact for rotations below pi."""
     q = np.asarray(q, dtype=float)
     # canonicalize to the w >= 0 hemisphere so the angle is in [0, pi]
     q = np.where(q[..., :1] < 0.0, -q, q)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .flightlog import FlightLog
-from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, sensor_samples, unify_rates
+from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, unify_rates
 from .rnn import Checkpoint, forward
 from .evaluate import predict_increments
 
@@ -33,7 +33,9 @@ _DONE = object()
 @dataclass
 class StreamConfig:
     """Replay settings. The bin period is the checkpoint's `period_ms` (200 ms
-    when its meta has none), so a stream always bins as training did."""
+    when its meta has none), so a stream always bins as training did; the
+    jitter must stay below half of it, or starting the stream raises
+    ConfigError."""
 
     jitter_ms: float = 0.0
     queue_capacity: int = 1024
@@ -115,10 +117,11 @@ def replay(log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue]) ->
     """Start one producer thread per sensor stream; returns started threads."""
     t0 = int(min(log.imu.t_us[0], log.baro.t_us[0], log.mag.t_us[0]))
     threads = []
-    for name, (t_arr, values) in sensor_samples(log).items():
+    for name in SENSORS:
+        samples = getattr(log, name)
         th = threading.Thread(
             target=_producer,
-            args=(t_arr, values, queues[name], cfg.replay_speed, t0),
+            args=(samples.t_us, samples.values, queues[name], cfg.replay_speed, t0),
             name=f"replay-{name}",
             daemon=True,
         )
@@ -159,11 +162,11 @@ class _QueueReader:
 
 
 class _ArrayReader:
-    """Hands out one sensor's logged samples up to each bin edge."""
+    """Hands out one sensor stream's logged samples up to each bin edge."""
 
-    def __init__(self, t_us: np.ndarray, values: np.ndarray):
-        self.t_us = t_us
-        self.values = values
+    def __init__(self, samples):
+        self.t_us = samples.t_us
+        self.values = samples.values
         self.pos = 0
 
     def take(self, edge: int) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -172,7 +175,20 @@ class _ArrayReader:
         return self.t_us[i : self.pos], self.values[i : self.pos], self.pos == len(self.t_us)
 
 
-def _predict(ckpt: Checkpoint, cfg: StreamConfig, anchor_us: int, readers: dict, queues: dict[str, SensorQueue]):
+def _bin_period_us(ckpt: Checkpoint, cfg: StreamConfig) -> int:
+    """The checkpoint's bin period in microseconds (200 ms when its meta has none).
+
+    A bin edge moves by up to the jitter, rounded to whole microseconds as
+    the edges are, so jitter of half a period or more could put an edge at
+    or before the previous one; that raises ConfigError.
+    """
+    period_us = ckpt.meta.get("period_ms", WindowedDataset.period_ms) * 1000
+    if 2 * round(cfg.jitter_ms * 1000.0) >= period_us:
+        raise ConfigError(f"jitter_ms {cfg.jitter_ms:g} must be below half the {period_us / 1000:g} ms bin period")
+    return period_us
+
+
+def _predict(ckpt: Checkpoint, cfg: StreamConfig, period_us: int, anchor_us: int, readers: dict, queues: dict):
     """The consumer loop: one bin per period, one prediction once the window is full.
 
     readers[sensor].take(edge) returns the samples that arrived up to edge,
@@ -184,7 +200,6 @@ def _predict(ckpt: Checkpoint, cfg: StreamConfig, anchor_us: int, readers: dict,
     window = meta["window"]
     norm = Normalization(mean=meta["feature_mean"], std=meta["feature_std"])
     rng = np.random.default_rng(cfg.seed)
-    period_us = meta.get("period_ms", WindowedDataset.period_ms) * 1000
     assembler = FeatureAssembler(anchor_us)
     rows: list[np.ndarray] = []
     wall_start = time.perf_counter()
@@ -233,7 +248,7 @@ def online_infer(ckpt: Checkpoint, queues: dict[str, SensorQueue], cfg: StreamCo
     bins identical to the offline pipeline's.
     """
     readers = {name: _QueueReader(name, q, blocking=cfg.replay_speed == 0) for name, q in queues.items()}
-    return _predict(ckpt, cfg, int(anchor_us), readers, queues)
+    return _predict(ckpt, cfg, _bin_period_us(ckpt, cfg), int(anchor_us), readers, queues)
 
 
 def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[OnlinePrediction]:
@@ -246,11 +261,12 @@ def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[Onli
     """
     anchor_us = int(log.ekf.t_us[0])
     if cfg.replay_speed == 0:
-        readers = {name: _ArrayReader(t, v) for name, (t, v) in sensor_samples(log).items()}
-        return list(_predict(ckpt, cfg, anchor_us, readers, {}))
+        readers = {name: _ArrayReader(getattr(log, name)) for name in SENSORS}
+        return list(_predict(ckpt, cfg, _bin_period_us(ckpt, cfg), anchor_us, readers, {}))
     queues = make_queues(cfg)
+    consumer = online_infer(ckpt, queues, cfg, anchor_us=anchor_us)  # checks the jitter before a thread starts
     threads = replay(log, cfg, queues)
-    predictions = list(online_infer(ckpt, queues, cfg, anchor_us=anchor_us))
+    predictions = list(consumer)
     for th in threads:
         th.join(timeout=30.0)
         if th.is_alive():

@@ -418,10 +418,10 @@ def generate_flight(cfg: SynthConfig) -> FlightLog:
         log_id=f"{cfg.profile}_{cfg.seed:06d}",
         vehicle_type=cfg.vehicle_type,
         source="synthetic",
-        imu=ImuStream(t_imu, gyro, accel),
-        baro=BaroStream(t_baro, temp, alt),
+        imu=ImuStream(t_imu, np.hstack([gyro, accel])),
+        baro=BaroStream(t_baro, np.column_stack([temp, alt])),
         mag=MagStream(t_mag, mag),
-        ekf=EkfStream(t_ekf, q_ekf, vel_e + drift_vel, pos_e + drift_pos),
+        ekf=EkfStream(t_ekf, np.hstack([q_ekf, vel_e + drift_vel, pos_e + drift_pos])),
         home_lat_deg=cfg.home_lat_deg,
     )
 

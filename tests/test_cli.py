@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,22 @@ def test_bad_checkpoint_meta_exits_two(tiny_pipeline, tmp_path, capsys, key, val
     assert f"meta {key}" in capsys.readouterr().err
 
 
+def test_stream_jitter_of_half_a_period_exits_one(tiny_pipeline, tmp_path, capsys):
+    # the checkpoint bins at 200 ms; 100 ms of jitter could put a bin edge at or before the last one
+    log_id = json.loads((tiny_pipeline / "pre" / "split.json").read_text())["val"][0]
+    cfg = _write_config(
+        tmp_path / "stream.json",
+        {
+            "checkpoint": str(tiny_pipeline / "model" / "model_final.navc"),
+            "log": str(tiny_pipeline / "data" / log_id),
+            "stream": {"jitter_ms": 100.0},
+        },
+    )
+    capsys.readouterr()
+    assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "jitter_ms" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one():
     assert main(["synth", "--config", "x.json", "--out", "y", "--bogus"]) == 1
 
@@ -248,6 +265,24 @@ def test_non_finite_log_rejected_rest_of_corpus_kept(tmp_path, corrupt):
     assert verdicts[bad_id]["reasons"] == ["validation_defects"]
 
 
+def test_eval_warns_once_per_rejected_log(tiny_pipeline, tmp_path, caplog):
+    synth_cfg = _write_config(
+        tmp_path / "synth.json",
+        {"flights": [{"profile": "circle", "duration_s": d} for d in (40.0, 40.0, 12.0)]},
+    )
+    assert main(["synth", "--config", synth_cfg, "--out", str(tmp_path / "data")]) == 0
+    _nan_in_imu(tmp_path / "data" / "circle_000000")
+    cfg = _write_config(
+        tmp_path / "eval.json", {**_model_inputs(tiny_pipeline), "dataset": str(tmp_path / "data"), "min_duration_s": 20.0}
+    )
+    caplog.set_level(logging.WARNING)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 2, warnings
+    assert sum("circle_000000" in m and "validation_defects" in m for m in warnings) == 1
+    assert sum("circle_000002" in m and "too_short" in m for m in warnings) == 1
+
+
 def _model_inputs(root: Path) -> dict:
     return {"checkpoint": str(root / "model" / "model_final.navc"), "dataset": str(root / "data")}
 
@@ -265,6 +300,8 @@ def _model_inputs(root: Path) -> dict:
         ("synth", lambda root: {"flights": [{"rates_hz": {"foo": 1}}]}),
         ("synth", lambda root: {"batch": {"count": 1, "profiles": []}}),
         ("stream", lambda root: {"checkpoint": str(root / "model" / "model_final.navc")}),
+        ("eval", lambda root: {**_model_inputs(root), "logs": "abc"}),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "trim": [["hold_s", 1.0]]}),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -276,6 +313,8 @@ def _model_inputs(root: Path) -> dict:
         "synth_unknown_rate",
         "synth_no_profiles",
         "stream_no_log",
+        "eval_logs_not_an_array",
+        "preprocess_trim_not_an_object",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):

@@ -25,10 +25,10 @@ def _tiny_log(n=20, log_id="tiny"):
         log_id=log_id,
         vehicle_type="quadrotor",
         source="synthetic",
-        imu=ImuStream(t, np.full((n, 3), 0.25), np.tile([0.0, 0.0, -9.80665], (n, 1))),
-        baro=BaroStream(t, np.full(n, 25.0), np.full(n, 3.5)),
+        imu=ImuStream(t, np.tile([0.25, 0.25, 0.25, 0.0, 0.0, -9.80665], (n, 1))),
+        baro=BaroStream(t, np.tile([25.0, 3.5], (n, 1))),
         mag=MagStream(t, np.tile([0.22, 0.0, 0.42], (n, 1))),
-        ekf=EkfStream(t_ekf, quat, np.zeros((len(t_ekf), 3)), np.zeros((len(t_ekf), 3))),
+        ekf=EkfStream(t_ekf, np.hstack([quat, np.zeros((len(t_ekf), 6))])),
     )
 
 
@@ -39,18 +39,7 @@ def _assert_logs_equal(a: FlightLog, b: FlightLog):
     assert a.home_lat_deg == b.home_lat_deg
     for (_, sa), (_, sb) in zip(a.streams(), b.streams()):
         assert np.array_equal(sa.t_us, sb.t_us)
-        for va, vb in zip(_values(sa), _values(sb)):
-            assert np.array_equal(va, vb)
-
-
-def _values(s):
-    if isinstance(s, ImuStream):
-        return (s.gyro, s.accel)
-    if isinstance(s, BaroStream):
-        return (s.temp_c, s.alt_m)
-    if isinstance(s, MagStream):
-        return (s.mag,)
-    return (s.quat, s.vel_ned, s.pos_ned)
+        assert np.array_equal(sa.values, sb.values)
 
 
 def test_round_trip_synthetic_hover(tmp_path):
@@ -77,6 +66,50 @@ def test_non_monotonic_rejected(tmp_path):
     log.imu.t_us[5] = log.imu.t_us[4]
     with pytest.raises(ValidationError, match="imu"):
         write_flight_log(log, tmp_path / "log")
+
+
+def test_streams_own_their_arrays():
+    # two streams built from one time array: changing one in place leaves the other as it was
+    t = np.arange(5, dtype=np.int64)
+    imu = ImuStream(t, np.zeros((5, 6)))
+    baro = BaroStream(t, np.zeros((5, 2)))
+    imu.t_us[2:] += 100
+    imu.values[0] = 1.0
+    assert baro.t_us.tolist() == t.tolist() == [0, 1, 2, 3, 4]
+    assert not baro.values.any()
+
+
+def test_named_fields_view_the_value_matrix():
+    log = _tiny_log()
+    assert np.array_equal(log.imu.accel, log.imu.values[:, 3:6])
+    assert np.array_equal(log.baro.alt_m, log.baro.values[:, 1])
+    assert np.array_equal(log.ekf.pos_ned, log.ekf.values[:, 7:10])
+    log.imu.accel[0, 2] = 1.5
+    assert log.imu.values[0, 5] == 1.5
+    with pytest.raises(AttributeError):
+        log.imu.gyro = np.zeros((20, 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ImuStream(np.arange(3), np.zeros((3, 5))), lambda: BaroStream(np.arange(3), np.zeros((4, 2))),
+     lambda: MagStream(np.arange(3), np.zeros(3))],
+    ids=["imu_five_columns", "baro_four_rows", "mag_one_dimensional"],
+)
+def test_stream_shape_checked(make):
+    with pytest.raises(ValidationError, match="Stream needs times"):
+        make()
+
+
+def test_csv_headers(tmp_path):
+    write_flight_log(_tiny_log(), tmp_path / "log")
+    headers = {name: (tmp_path / "log" / f"{name}.csv").read_text().split("\n")[0] for name in ("imu", "baro", "mag", "ekf")}
+    assert headers == {
+        "imu": "t_us,gx,gy,gz,ax,ay,az",
+        "baro": "t_us,temp_c,alt_m",
+        "mag": "t_us,mx,my,mz",
+        "ekf": "t_us,q1,q2,q3,q4,vn,ve,vd,pn,pe,pd",
+    }
 
 
 def test_imu_row_count_at_standard_rates():
@@ -123,9 +156,9 @@ def test_validate_clean_log():
 
 def test_validate_detects_gap():
     log = _tiny_log(n=50)
-    t = log.imu.t_us.copy()  # the tiny log's sensors share one time array
+    t = log.imu.t_us.copy()
     t[25:] += 5_000_000  # 5 s hole
-    log.imu = ImuStream(t, log.imu.gyro, log.imu.accel)
+    log.imu = ImuStream(t, log.imu.values)
     assert log.defects(max_gap_s=1.0) == ["imu stream has a gap of 5.012 s (limit 1 s)"]
     assert log.defects() == []  # no gap limit: the reader's check
 
@@ -162,10 +195,10 @@ def small_logs(draw):
         log_id=draw(st.text(alphabet="abcdef0123456789", min_size=1, max_size=10)),
         vehicle_type=draw(st.sampled_from(("quadrotor", "fixed_wing", "unknown"))),
         source=draw(st.sampled_from(("recorded", "synthetic"))),
-        imu=ImuStream(t, rng.standard_normal((n, 3)), rng.standard_normal((n, 3))),
-        baro=BaroStream(t, rng.standard_normal(n), rng.standard_normal(n)),
+        imu=ImuStream(t, rng.standard_normal((n, 6))),
+        baro=BaroStream(t, rng.standard_normal((n, 2))),
         mag=MagStream(t, rng.standard_normal((n, 3))),
-        ekf=EkfStream(t_ekf, quat, rng.standard_normal((n_ekf, 3)), rng.standard_normal((n_ekf, 3))),
+        ekf=EkfStream(t_ekf, np.hstack([quat, rng.standard_normal((n_ekf, 6))])),
         home_lat_deg=home,
     )
 

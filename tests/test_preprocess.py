@@ -24,7 +24,6 @@ from navrnn.preprocess import (
     load_windows,
     make_windows,
     save_windows,
-    sensor_samples,
     split_dataset,
     trim_ground_time,
     unify_rates,
@@ -42,10 +41,10 @@ def _log_from_arrays(t_imu, gyro, accel, t_baro, temp, alt, t_mag, mag, t_ekf, p
         log_id="manual",
         vehicle_type="quadrotor",
         source="synthetic",
-        imu=ImuStream(t_imu, gyro, accel),
-        baro=BaroStream(t_baro, temp, alt),
+        imu=ImuStream(t_imu, np.hstack([gyro, accel])),
+        baro=BaroStream(t_baro, np.column_stack([temp, alt])),
         mag=MagStream(t_mag, mag),
-        ekf=EkfStream(t_ekf, quat, vel, pos),
+        ekf=EkfStream(t_ekf, np.hstack([quat, vel, pos])),
     )
 
 
@@ -128,16 +127,16 @@ class TestUnifyRates:
         b, m = log.baro, log.mag
         kb = b.t_us >= t_edges[0] + 500_000
         km = (m.t_us < 20_000_000) | (m.t_us > 21_000_000)
-        log = replace(log, baro=BaroStream(b.t_us[kb], b.temp_c[kb], b.alt_m[kb]), mag=MagStream(m.t_us[km], m.mag[km]))
+        log = replace(log, baro=BaroStream(b.t_us[kb], b.values[kb]), mag=MagStream(m.t_us[km], m.values[km]))
         series = unify_rates(log)
         assert series.baro_carried >= 2 and series.mag_carried >= 4
         assembler = FeatureAssembler(t_edges[0])
-        samples = sensor_samples(log)
         rows = []
         for lo, hi in zip(t_edges[:-1], t_edges[1:]):
-            for name, (t, v) in samples.items():
+            for name, stream in (("imu", log.imu), ("baro", log.baro), ("mag", log.mag)):
+                t = stream.t_us
                 inside = (t > lo) & (t <= hi) if lo > t_edges[0] else t <= hi
-                assembler.add(name, t[inside], v[inside])
+                assembler.add(name, t[inside], stream.values[inside])
             features, _ = assembler.close([hi])
             rows.extend(features)
         np.testing.assert_array_equal(np.array(rows), series.features)
@@ -242,31 +241,31 @@ def airborne_log():
 
 
 def _empty_mag(log):
-    return replace(log, mag=MagStream(log.mag.t_us[:0], log.mag.mag[:0]))
+    return replace(log, mag=MagStream(log.mag.t_us[:0], log.mag.values[:0]))
 
 
 def _repeated_baro_timestamp(log):
     t = log.baro.t_us.copy()
     t[5] = t[4]
-    return replace(log, baro=BaroStream(t, log.baro.temp_c, log.baro.alt_m))
+    return replace(log, baro=BaroStream(t, log.baro.values))
 
 
 def _nan_accel(log):
-    accel = log.imu.accel.copy()
-    accel[10, 0] = np.nan
-    return replace(log, imu=ImuStream(log.imu.t_us, log.imu.gyro, accel))
+    imu = ImuStream(log.imu.t_us, log.imu.values)
+    imu.accel[10, 0] = np.nan
+    return replace(log, imu=imu)
 
 
 def _non_unit_quat(log):
-    quat = log.ekf.quat.copy()
-    quat[3] *= 0.5
-    return replace(log, ekf=EkfStream(log.ekf.t_us, quat, log.ekf.vel_ned, log.ekf.pos_ned))
+    ekf = EkfStream(log.ekf.t_us, log.ekf.values)
+    ekf.quat[3] *= 0.5
+    return replace(log, ekf=ekf)
 
 
 def _mag_after_the_rest(log):
     # the magnetometer starts after every other stream has ended
     shift = log.ekf.t_us[-1] + 1_000_000 - log.mag.t_us[0]
-    return replace(log, mag=MagStream(log.mag.t_us + shift, log.mag.mag))
+    return replace(log, mag=MagStream(log.mag.t_us + shift, log.mag.values))
 
 
 DEFECTS = {
@@ -316,7 +315,7 @@ class TestCleanup:
         m = airborne_log.mag
         t_mid = m.t_us[len(m) // 2]
         keep = (m.t_us <= t_mid) | (m.t_us >= t_mid + 1_250_000)
-        write_flight_log(replace(airborne_log, mag=MagStream(m.t_us[keep], m.mag[keep])), tmp_path / "log")
+        write_flight_log(replace(airborne_log, mag=MagStream(m.t_us[keep], m.values[keep])), tmp_path / "log")
         log = read_flight_log(tmp_path / "log")
         assert np.diff(log.mag.t_us).max() >= 1_250_000
         assert detect_corrupted(log).reasons == ["validation_defects"]

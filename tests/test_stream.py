@@ -169,7 +169,7 @@ class TestOnlineInference:
         full = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=31, noise=NoiseConfig.low_cost()))
         b = full.baro
         keep = b.t_us >= full.ekf.t_us[0] + 500_000
-        log = replace(full, baro=BaroStream(b.t_us[keep], b.temp_c[keep], b.alt_m[keep]))
+        log = replace(full, baro=BaroStream(b.t_us[keep], b.values[keep]))
         assert log.defects(max_gap_s=1.0) == []
         ckpt = small_ckpt["ckpt"]
         report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
@@ -187,6 +187,16 @@ class TestOnlineInference:
                 meta["period_ms"] = period_ms
             preds = run_stream(small_ckpt["val_log"], Checkpoint(ckpt.params, ckpt.config, meta), StreamConfig())
             assert set(np.diff([p.t_us for p in preds])) == {(period_ms or 200) * 1000}
+
+    def test_jitter_below_half_a_period_keeps_edges_increasing(self, small_ckpt):
+        preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(jitter_ms=99.0))
+        assert np.all(np.diff([p.t_us for p in preds]) > 0)
+
+    def test_jitter_of_half_a_period_rejected_before_a_thread_starts(self, small_ckpt, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"{self.name} started"))
+        for speed in (0.0, 10.0):
+            with pytest.raises(ConfigError, match="half the 200 ms bin period"):
+                run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(jitter_ms=100.0, replay_speed=speed))
 
     def test_latency_reported(self, small_ckpt):
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
