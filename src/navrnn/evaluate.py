@@ -193,10 +193,10 @@ def baseline_flight_metrics(
 
 
 def aggregate_metrics(metrics: list[FlightMetrics]) -> dict:
-    """Mean / median / best / worst per metric.
+    """Mean / median / p90 / best / worst per metric.
 
-    Median uses the lower middle element for even counts, so it is always a
-    value that occurred.
+    Median uses the lower middle element for even counts and p90 the nearest
+    rank (the ceil(0.9·n)-th smallest), so both are values that occurred.
     """
     if not metrics:
         raise DataError("no metrics to aggregate")
@@ -206,6 +206,7 @@ def aggregate_metrics(metrics: list[FlightMetrics]) -> dict:
         return {
             "mean": float(np.mean(ordered)),
             "median": float(ordered[(len(ordered) - 1) // 2]),
+            "p90": float(ordered[-(-9 * len(ordered) // 10) - 1]),
             "best": float(ordered[0]),
             "worst": float(ordered[-1]),
         }

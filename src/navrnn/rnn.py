@@ -13,13 +13,15 @@ block (columns i, f, g, o) with one tanh and then `*s + off` (0.5/0.5 on
 sigmoid columns, 1/0 on a tanh g; a relu g is taken before the tanh); the ½
 inside the tanh is folded into the weights once per call, which is exact.
 The block is activated in place in the input-projection buffer, which is
-the tape's `a` [w, B, 4h]; `c`, `ca` (the cell state and its activation)
-and `h` are [w, B, h].
+the tape's `a` [w, B, 4h]; `c` (the cell state) and `h` are [w, B, h], and
+backward recomputes act(c) one step at a time. Work arrays come from a
+`Buffers` set, which `train.fit` and `predict` reuse from batch to batch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -170,13 +172,27 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
 # batched forward
 
 
+class Buffers(dict):
+    """Named work arrays that forward and backward reuse from call to call.
+
+    Each name owns one flat byte buffer, grown on demand and never shrunk; an
+    array is carved from its front, so every batch size gets a contiguous
+    view. A tape made from a set is valid until the next forward on that set.
+    """
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in self or self[name].size < nbytes:
+            self[name] = np.empty(nbytes, dtype=np.uint8)
+        return self[name][:nbytes].view(dtype).reshape(shape)
+
+
 @dataclass
 class _LayerTape:
     inputs: np.ndarray  # [w, B, in]
     h: np.ndarray  # [w, B, hidden]
     a: np.ndarray  # [w, B, 4*hidden] activated gate block i, f, g, o
     c: np.ndarray  # [w, B, hidden] cell state
-    ca: np.ndarray  # [w, B, hidden] activated cell state
 
 
 @dataclass
@@ -185,17 +201,18 @@ class Tape:
 
     params: NetworkParams
     layer_tapes: list[_LayerTape]
-    h_final: np.ndarray  # [B, hidden]
     y_hat: np.ndarray  # [B, out]
+    buffers: Buffers  # the set the tape lives in; backward takes its scratch from it
     batched_input: bool = True
 
 
-def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
+def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, buffers: Buffers | None = None):
     """Run a window (or batch of windows) through the network.
 
     Input shape [w, input_size] or [B, w, input_size]; features must already
     be normalized. Initial recurrent state is zero for every window. Returns
-    (y_hat, tape); tape is None when want_tape is False.
+    (y_hat, tape); tape is None when want_tape is False. Work arrays come
+    from `buffers`, or from a fresh set without it.
     """
     x = np.asarray(window, dtype=params.dtype)
     batched = x.ndim == 3
@@ -204,28 +221,30 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise DataError(f"window shape {np.asarray(window).shape} does not match input size {params.input_size}")
     B, w, _ = x.shape
-    hs = params.hidden_size
-    act_name = params.input_activation
+    hs, act_name, dt = params.hidden_size, params.input_activation, params.dtype
+    bufs = Buffers() if buffers is None else buffers
     # time-major input to each layer
-    seq = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # [w, B, in]
+    seq = bufs.take("x", (w, B, x.shape[2]), dt)  # [w, B, in]
+    np.copyto(seq, np.swapaxes(x, 0, 1))
     layer_tapes: list[_LayerTape] = []
     gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
-    s = np.full(4 * hs, 0.5, dtype=params.dtype)  # ½ on sigmoid columns, 1 on a tanh/relu g
+    s = np.full(4 * hs, 0.5, dtype=dt)  # ½ on sigmoid columns, 1 on a tanh/relu g
     s[gg] = 0.5 if act_name == "sigmoid" else 1.0
     off = 1.0 - s
+    zh, ig, ca = bufs.take("zh", (B, 4 * hs), dt), bufs.take("ig", (B, hs), dt), bufs.take("ca", (B, hs), dt)
 
-    for layer in params.layers:
+    for li, layer in enumerate(params.layers):
         # pre-activation z/2 on the sigmoid columns (exact)
         wx, wh, b = layer.wx * s[:, None], layer.wh * s[:, None], layer.b * s
-        pre = (seq.reshape(w * B, -1) @ wx.T).reshape(w, B, -1)  # [w, B, 4h]
+        # without a tape one gate block serves every layer, and the outputs alternate between two buffers
+        pre = bufs.take(f"a{li if want_tape else 0}", (w, B, 4 * hs), dt)  # [w, B, 4h]
+        np.matmul(seq.reshape(w * B, -1), wx.T, out=pre.reshape(w * B, -1))
         pre += b
-        h = np.zeros((B, hs), dtype=params.dtype)
-        c = np.zeros((B, hs), dtype=params.dtype)
-        H = np.empty((w, B, hs), dtype=params.dtype)
-        C = np.empty_like(H)
-        CA = np.empty_like(H)
-        zh = np.empty((B, 4 * hs), dtype=params.dtype)
-        ig = np.empty_like(c)
+        H = bufs.take(f"h{li if want_tape else li % 2}", (w, B, hs), dt)
+        C = bufs.take(f"c{li}", (w, B, hs), dt) if want_tape else None
+        # zero initial state; without a tape c alternates between hc[2] and hc[1] (in place is slower)
+        h, c, _ = hc = bufs.take("hc", (3, B, hs), dt)
+        hc.fill(0.0)
         for t in range(w):
             a = pre[t]
             a += np.matmul(h, wh.T, out=zh)
@@ -236,17 +255,15 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True):
             a += off
             if act_name == "relu":
                 a[:, gg] = ig
-            c = np.multiply(a[:, gf], c, out=C[t])
+            c = np.multiply(a[:, gf], c, out=hc[2 - t % 2] if C is None else C[t])
             c += np.multiply(a[:, gi], a[:, gg], out=ig)
-            h = np.multiply(a[:, go], _act(act_name, c, out=CA[t]), out=H[t])
+            h = np.multiply(a[:, go], _act(act_name, c, out=ca), out=H[t])
         if want_tape:
-            layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C, ca=CA))
+            layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C))
         seq = H
 
     y = h @ params.dense.w.T + params.dense.b
-    tape = None
-    if want_tape:
-        tape = Tape(params=params, layer_tapes=layer_tapes, h_final=h, y_hat=y, batched_input=batched)
+    tape = Tape(params, layer_tapes, y_hat=y, buffers=bufs, batched_input=batched) if want_tape else None
     return (y if batched else y[0]), tape
 
 
@@ -259,10 +276,10 @@ def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = 256) -
     """
     windows = np.asarray(windows)
     out = np.empty((len(windows), params.output_size), dtype=params.dtype)
+    bufs = Buffers()
     for start in range(0, len(windows), batch_size):
         chunk = windows[start : start + batch_size]
-        y, _ = forward(params, chunk, want_tape=False)
-        out[start : start + len(chunk)] = y
+        out[start : start + len(chunk)] = forward(params, chunk, want_tape=False, buffers=bufs)[0]
     return out
 
 
@@ -322,20 +339,21 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     act_name = params.input_activation
     hs = params.hidden_size
     gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
-    g_dense_w = dy.T @ tape.h_final
+    g_dense_w = dy.T @ tape.layer_tapes[-1].h[-1]
     g_dense_b = dy.sum(axis=0)
     d_ext_final = dy @ params.dense.w  # [B, h]
 
     grads_layers: list[LayerParams | None] = [None] * len(params.layers)
     d_ext: np.ndarray | None = None  # [w, B, h] gradient w.r.t. this layer's output sequence
     w, B, _ = tape.layer_tapes[0].h.shape
-    # gradients w.r.t. the gate pre-activations, one buffer for every layer
-    dgx = np.empty((w, B, 4 * hs), dtype=params.dtype)
+    bufs, dt = tape.buffers, params.dtype  # scratch outside the tape, so backward can run twice on one tape
+    # gradients w.r.t. the gate pre-activations (one buffer for every layer) and act(c) of the current step
+    dgx, ca = bufs.take("dgx", (w, B, 4 * hs), dt), bufs.take("ca", (B, hs), dt)
 
     for li in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[li]
         lt = tape.layer_tapes[li]
-        A, C, CA = lt.a, lt.c, lt.ca
+        A, C = lt.a, lt.c
         dh = np.zeros((B, hs), dtype=params.dtype)
         dc = np.zeros_like(dh)
         up = np.empty((B, 4 * hs), dtype=params.dtype)  # upstream gradient of each gate
@@ -346,11 +364,12 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
                 dh += d_ext_final
             dgates = dgx[t]
             a = A[t]
-            dc += _act_deriv_from_value(act_name, CA[t]) * a[:, go] * dh
+            _act(act_name, C[t], out=ca)
+            dc += _act_deriv_from_value(act_name, ca) * a[:, go] * dh
             np.multiply(dc, a[:, gg], out=up[:, gi])
             np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
             np.multiply(dc, a[:, gi], out=up[:, gg])
-            np.multiply(dh, CA[t], out=up[:, go])
+            np.multiply(dh, ca, out=up[:, go])
             # σ' = a(1 - a) on the whole block, then the candidate's own derivative
             np.subtract(1.0, a, out=dgates)
             dgates *= a
@@ -367,7 +386,7 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
         g_b = flat_dgx.sum(axis=0)
         grads_layers[li] = LayerParams(g_wx, g_wh, g_b)
         if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below
-            d_ext = (flat_dgx @ layer.wx).reshape(w, B, -1)
+            d_ext = np.matmul(flat_dgx, layer.wx, out=bufs.take("dx", (w * B, hs), dt)).reshape(w, B, hs)
 
     return NetworkParams(
         layers=grads_layers,
@@ -404,13 +423,9 @@ def adam_step(
     """Standard bias-corrected Adam update; pure, returns new values."""
     t = state.step + 1
     new_params = params.copy()
-    new_m = []
-    new_v = []
-    p_arrays = [a for _, a in new_params.arrays()]
-    g_arrays = [a for _, a in grads.arrays()]
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for p, g, m, v in zip(p_arrays, g_arrays, state.m, state.v):
+    new_m, new_v = [], []
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for (_, p), (_, g), m, v in zip(new_params.arrays(), grads.arrays(), state.m, state.v):
         g = g.astype(p.dtype)
         m_new = beta1 * m + (1.0 - beta1) * g
         v_new = beta2 * v + (1.0 - beta2) * (g * g)

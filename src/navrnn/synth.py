@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import quat
 from .deadreckon import GRAVITY_MPS2
@@ -196,6 +195,8 @@ class _CirclePath:
 
 class _SplinePath:
     def __init__(self, waypoints: np.ndarray):
+        from scipy.interpolate import CubicSpline  # here, so that no command but synth imports scipy
+
         pts = np.asarray(waypoints, dtype=float)
         chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         u = np.concatenate([[0.0], np.cumsum(chord)])

@@ -13,6 +13,7 @@ from .flightlog import write_json
 from .preprocess import WindowedDataset
 from .rnn import (
     AdamState,
+    Buffers,
     Checkpoint,
     LossSpec,
     NetworkParams,
@@ -98,12 +99,12 @@ def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
     return LossSpec(kind="weighted_mae", weights=dataset.weights.astype(np.float64))
 
 
-def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int) -> float:
+def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int, bufs=None) -> float:
     total = 0.0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.windows[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        y_hat, _ = forward(params, xb, want_tape=False)
+        y_hat, _ = forward(params, xb, want_tape=False, buffers=bufs)
         total += loss(y_hat, yb, spec) * len(xb)
     return total / max(len(dataset), 1)
 
@@ -121,7 +122,8 @@ def fit(
     partial batch is kept (its gradient is the mean over its true size).
     With early stopping enabled the parameters from the best validation
     epoch are returned, otherwise the final parameters. Inputs are never
-    mutated; identical inputs and seeds give identical outputs.
+    mutated; identical inputs and seeds give identical outputs. All batches
+    and the validation pass share one `Buffers` set: one tape's memory.
     """
     if len(dataset) == 0:
         raise DataError("training dataset is empty")
@@ -136,6 +138,7 @@ def fit(
     report = TrainReport(warm_start=warm_start)
     rng = np.random.default_rng(cfg.shuffle_seed)
     m = len(dataset)
+    bufs = Buffers()
 
     best_params = params.copy()
     best_val = np.inf
@@ -150,7 +153,7 @@ def fit(
             idx = order[start : start + cfg.batch_size]
             xb = dataset.windows[idx]
             yb = dataset.labels[idx]
-            y_hat, tape = forward(params, xb)
+            y_hat, tape = forward(params, xb, buffers=bufs)
             batch_loss = loss(y_hat, yb, spec)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
@@ -163,7 +166,7 @@ def fit(
 
         val_loss = float("nan")
         if val is not None and len(val) > 0:
-            val_loss = _dataset_loss(params, val, spec, cfg.batch_size)
+            val_loss = _dataset_loss(params, val, spec, cfg.batch_size, bufs)
             if val_loss < best_val:
                 best_val = val_loss
                 best_params = params.copy()

@@ -1,9 +1,13 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import navrnn
 from navrnn import stream
 from navrnn.cli import main
 from navrnn.rnn import load_checkpoint, save_checkpoint
@@ -350,3 +354,13 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--config", "--out", "--seed", "--baseline"):
         assert flag in out
+
+
+def test_only_synth_imports_scipy():
+    # train, eval, stream and preprocess start without scipy; synth imports
+    # it when it builds a spline path
+    src = str(Path(navrnn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, navrnn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -161,7 +161,15 @@ class TestAggregate:
 
     def test_single_flight(self):
         s = aggregate_metrics([self._metric(7.0)])
-        assert s["mpe_m"] == {"mean": 7.0, "median": 7.0, "best": 7.0, "worst": 7.0}
+        assert s["mpe_m"] == {"mean": 7.0, "median": 7.0, "p90": 7.0, "best": 7.0, "worst": 7.0}
+
+    def test_p90_nearest_rank_brute_force(self):
+        # the smallest value that at least 90% of the flights are at or below
+        rng = np.random.default_rng(0)
+        for n in range(1, 32):
+            values = rng.integers(0, 8, n).astype(float)  # ties included
+            s = aggregate_metrics([self._metric(1.0, mve=v) for v in values])
+            assert s["mve_mps"]["p90"] == min(v for v in values if 10 * np.sum(values <= v) >= 9 * n)
 
     def test_lower_median_convention(self):
         s = aggregate_metrics([self._metric(v) for v in [1.0, 2.0, 3.0, 100.0]])

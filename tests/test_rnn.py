@@ -8,7 +8,9 @@ from scipy.special import expit
 from navrnn.cli import main
 from navrnn.errors import CheckpointError, ConfigError
 from navrnn.rnn import (
+    ACTIVATIONS,
     AdamState,
+    Buffers,
     LayerParams,
     LossSpec,
     NetworkConfig,
@@ -54,7 +56,7 @@ def _flatten(params):
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 
 
-def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, activation="tanh"):
+def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, activation="tanh", buffers=None):
     cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6,
                         input_activation=activation)
     params = init_params(cfg, seed=seed, dtype=np.float64)
@@ -63,7 +65,7 @@ def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, bat
     y = rng.standard_normal((batch, 6))
     weights = rng.uniform(0.5, 2.0, 6) if loss_kind == "weighted_mae" else None
     spec = LossSpec(kind=loss_kind, weights=weights)
-    _, tape = forward(params, x)
+    _, tape = forward(params, x, buffers=buffers)
     g_ana = _flatten(backward(tape, y, spec))
     eps = 1e-6
     g_num = np.empty_like(g_ana)
@@ -73,9 +75,9 @@ def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, bat
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = loss(forward(params, x, want_tape=False)[0], y, spec)
+            lp = loss(forward(params, x, want_tape=False, buffers=buffers)[0], y, spec)
             flat[i] = orig - eps
-            lm = loss(forward(params, x, want_tape=False)[0], y, spec)
+            lm = loss(forward(params, x, want_tape=False, buffers=buffers)[0], y, spec)
             flat[i] = orig
             g_num[k] = (lp - lm) / (2.0 * eps)
             k += 1
@@ -293,6 +295,14 @@ class TestBackward:
     def test_gradcheck_two_layers_relu(self):
         assert _fd_max_rel_err(seed=2, loss_kind="mae", layers=2, hidden=6, w=4, activation="relu") < 1e-4
 
+    def test_gradcheck_through_one_buffer_set(self):
+        # criterion 1's shape (1x8, window 5, batch 3), then the two-layer check above for the
+        # input gradient; every forward, taped or not, draws on the same set
+        bufs = Buffers()
+        errs = [_fd_max_rel_err(seed, buffers=bufs) for seed in range(3)]
+        errs.append(_fd_max_rel_err(2, "mae", layers=2, hidden=6, w=4, activation="relu", buffers=bufs))
+        assert max(errs) < 1e-4
+
     def test_zero_error_zero_gradients(self):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=8)
         params = init_params(cfg, seed=0, dtype=np.float64)
@@ -316,6 +326,41 @@ class TestBackward:
         # only the dense row feeding signal 2 doubles
         np.testing.assert_allclose(g2.dense.w[2], 2.0 * g1.dense.w[2], rtol=1e-12)
         np.testing.assert_allclose(g2.dense.w[0], g1.dense.w[0], rtol=1e-12)
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_reused_set_matches_fresh_bitwise(self, activation, dtype):
+        # the batch grows, then shrinks to a partial batch and to one window;
+        # three layers so the tape-free forward's two output buffers alternate
+        params = init_params(NetworkConfig(recurrent_layers=3, hidden_size=12, input_activation=activation), 4, dtype)
+        spec = LossSpec(weights=np.arange(1.0, 7.0))
+        rng = np.random.default_rng(5)
+        bufs = Buffers()
+        for batch in (5, 256, 237, 1):
+            x = rng.standard_normal((batch, 7, 11)).astype(dtype)
+            y = rng.standard_normal((batch, 6)).astype(dtype)
+            y_fresh, tape_fresh = forward(params, x)
+            g_fresh = backward(tape_fresh, y, spec)
+            y_buf, tape = forward(params, x, buffers=bufs)
+            assert tape.layer_tapes[0].h.shape == (7, batch, 12)
+            assert all(lt.a.flags.c_contiguous and lt.c.flags.c_contiguous for lt in tape.layer_tapes)
+            assert y_buf.tobytes() == y_fresh.tobytes()
+            for (name, g), (_, ref) in zip(backward(tape, y, spec).arrays(), g_fresh.arrays()):
+                assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
+            y_free, _ = forward(params, x, want_tape=False, buffers=bufs)
+            assert y_free.tobytes() == y_fresh.tobytes()
+
+    def test_next_forward_reuses_the_tape_memory(self, rng):
+        params = init_params(NetworkConfig(recurrent_layers=2, hidden_size=8), seed=0)
+        bufs = Buffers()
+        _, first = forward(params, rng.standard_normal((4, 6, 11)), buffers=bufs)
+        _, second = forward(params, rng.standard_normal((3, 6, 11)), buffers=bufs)
+        _, fresh = forward(params, rng.standard_normal((3, 6, 11)))
+        for a, b, c in zip(first.layer_tapes, second.layer_tapes, fresh.layer_tapes):
+            assert np.shares_memory(a.a, b.a) and np.shares_memory(a.h, b.h) and np.shares_memory(a.c, b.c)
+            assert not np.shares_memory(b.a, c.a)
 
 
 class TestAdam:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,25 @@ def test_report_round_trip(tmp_path):
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["best_epoch"] == 1
     assert payload["train_loss"] == [1.0, 0.5]
+
+
+def test_fit_holds_one_tape(rng):
+    """fit's traced peak stays within one tape plus backward's scratch.
+
+    Every batch, the partial last one and the validation pass reuse one set
+    of work arrays; a previous batch's tape kept alive while the next batch
+    allocates its own would add a second ~1 MB tape.
+    """
+    layers, hs, w, batch, n_in = 2, 16, 20, 64, 11
+    train_ds, val_ds = _toy_dataset(rng, m=200, w=w), _toy_dataset(rng, m=70, w=w)
+    init = init_params(NetworkConfig(recurrent_layers=layers, hidden_size=hs), seed=0)
+    rows = w * batch * 4  # float32 bytes per feature of all [w, B] steps
+    tape = rows * (n_in + layers * (4 * hs + hs + hs))  # the input, then a, c and h of each layer
+    scratch = rows * (4 * hs + hs)  # gate-gradient block and input gradient
+    tracemalloc.start()
+    try:
+        fit(train_ds, val_ds, TrainConfig(epochs=3, batch_size=batch), init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (tape + scratch)
