@@ -18,8 +18,8 @@ import numpy as np
 from .deadreckon import DeadReckonConfig, NavState, dead_reckon
 from .errors import DataError
 from .flightlog import FlightLog, write_json, write_table
-from .preprocess import Normalization, UnifiedSeries, gather_windows, window_count
-from .rnn import Checkpoint, predict
+from .preprocess import Normalization, UnifiedSeries
+from .rnn import Checkpoint, Rolling
 
 
 def reconstruct_path(
@@ -130,17 +130,17 @@ def predict_increments(ckpt: Checkpoint, series: UnifiedSeries, batch_size: int 
     """Predict the per-step increments for every window position of a flight.
 
     Windows take the checkpoint's window size at stride 1, and features are
-    normalized with its stored statistics. With batch_size=1 the arithmetic
-    matches the streaming path bit for bit.
+    normalized with its stored statistics. The rows go one at a time through
+    an `rnn.Rolling`, as in the stream, so the two agree bit for bit.
+    batch_size has no effect; it is accepted for callers that still pass it.
     """
     window = ckpt.meta["window"]
     norm = Normalization(mean=ckpt.meta["feature_mean"], std=ckpt.meta["feature_std"])
-    rows = norm.apply(series.features)
     n_labels = len(series.labels)
     if n_labels < window:
         raise DataError(f"flight too short: {n_labels} steps < window {window}")
-    windows = gather_windows(rows, window, 1, window_count(n_labels, window, 1))
-    return predict(ckpt.params, windows, batch_size=batch_size)
+    rolling = Rolling(ckpt.params, window)
+    return np.array([rolling.push(row) for row in norm.apply(series.features[:n_labels])][window - 1 :])
 
 
 def evaluate_flight(ckpt: Checkpoint, series: UnifiedSeries) -> FlightMetrics:

@@ -358,12 +358,6 @@ def window_count(n_labels: int, window: int, stride: int) -> int:
     return (n_labels - window) // stride + 1
 
 
-def gather_windows(rows: np.ndarray, window: int, stride: int, count: int) -> np.ndarray:
-    """Contiguous [count, window, f] copy of rows[j*stride : j*stride + window] for j < count."""
-    view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[: (count - 1) * stride + 1 : stride]
-    return np.ascontiguousarray(view.transpose(0, 2, 1))
-
-
 def make_windows(
     series: UnifiedSeries,
     window: int = 200,
@@ -386,7 +380,8 @@ def make_windows(
     norm = normalization or Normalization.fit(series.features)
     rows = norm.apply(series.features)
     m = window_count(n_labels, window, stride)
-    windows = gather_windows(rows, window, stride, m)
+    view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[: (m - 1) * stride + 1 : stride]
+    windows = np.ascontiguousarray(view.transpose(0, 2, 1))  # [m, window, f]
     labels = series.labels[window - 1 :: stride][:m]
     w = weights if weights is not None else compute_signal_weights(series.labels)
     return WindowedDataset(

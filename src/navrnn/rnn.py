@@ -203,23 +203,41 @@ class Tape:
     layer_tapes: list[_LayerTape]
     y_hat: np.ndarray  # [B, out]
     buffers: Buffers  # the set the tape lives in; backward takes its scratch from it
-    batched_input: bool = True
+
+
+def _gate_scale(hs: int, act_name: str, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Scale s (½ on sigmoid columns, 1 on a tanh/relu g) and offset 1 - s of the gate block."""
+    s = np.full(4 * hs, 0.5, dtype=dt)
+    s[2 * hs : 3 * hs] = 0.5 if act_name == "sigmoid" else 1.0
+    return s, 1.0 - s
+
+
+def _cell_step(act_name: str, s, off, a, c, c_out, h_out, ig, ca):
+    """The LSTM step of `forward` and `Rolling`: activates the [B, 4h] pre-activations `a` (z/2 on sigmoid
+    columns) in place, then c_out = f·c + i·g, h_out = o·act(c_out); ig, ca are [B, h] scratch. Returns (h, c)."""
+    i, f, g, o = (a[:, k * ig.shape[1] : (k + 1) * ig.shape[1]] for k in range(4))
+    if act_name == "relu":
+        np.maximum(g, 0.0, out=ig)
+    np.tanh(a, out=a)
+    a *= s
+    a += off
+    if act_name == "relu":
+        g[...] = ig
+    c = np.multiply(f, c, out=c_out)
+    c += np.multiply(i, g, out=ig)
+    return np.multiply(o, _act(act_name, c, out=ca), out=h_out), c
 
 
 def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, buffers: Buffers | None = None):
-    """Run a window (or batch of windows) through the network.
+    """Run a batch of windows [B, w, input_size] through the network.
 
-    Input shape [w, input_size] or [B, w, input_size]; features must already
-    be normalized. Initial recurrent state is zero for every window. Returns
-    (y_hat, tape); tape is None when want_tape is False. Work arrays come
-    from `buffers`, or from a fresh set without it.
+    Features must already be normalized. Initial recurrent state is zero for
+    every window. Returns (y_hat [B, out], tape); tape is None when want_tape
+    is False. Work arrays come from `buffers`, or from a fresh set without it.
     """
     x = np.asarray(window, dtype=params.dtype)
-    batched = x.ndim == 3
-    if not batched:
-        x = x[None]
     if x.ndim != 3 or x.shape[2] != params.input_size:
-        raise DataError(f"window shape {np.asarray(window).shape} does not match input size {params.input_size}")
+        raise DataError(f"window batch shape {x.shape} is not [B, w, {params.input_size}]")
     B, w, _ = x.shape
     hs, act_name, dt = params.hidden_size, params.input_activation, params.dtype
     bufs = Buffers() if buffers is None else buffers
@@ -227,10 +245,7 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, b
     seq = bufs.take("x", (w, B, x.shape[2]), dt)  # [w, B, in]
     np.copyto(seq, np.swapaxes(x, 0, 1))
     layer_tapes: list[_LayerTape] = []
-    gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
-    s = np.full(4 * hs, 0.5, dtype=dt)  # ½ on sigmoid columns, 1 on a tanh/relu g
-    s[gg] = 0.5 if act_name == "sigmoid" else 1.0
-    off = 1.0 - s
+    s, off = _gate_scale(hs, act_name, dt)
     zh, ig, ca = bufs.take("zh", (B, 4 * hs), dt), bufs.take("ig", (B, hs), dt), bufs.take("ca", (B, hs), dt)
 
     for li, layer in enumerate(params.layers):
@@ -248,31 +263,64 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, b
         for t in range(w):
             a = pre[t]
             a += np.matmul(h, wh.T, out=zh)
-            if act_name == "relu":
-                np.maximum(a[:, gg], 0.0, out=ig)
-            np.tanh(a, out=a)
-            a *= s
-            a += off
-            if act_name == "relu":
-                a[:, gg] = ig
-            c = np.multiply(a[:, gf], c, out=hc[2 - t % 2] if C is None else C[t])
-            c += np.multiply(a[:, gi], a[:, gg], out=ig)
-            h = np.multiply(a[:, go], _act(act_name, c, out=ca), out=H[t])
+            h, c = _cell_step(act_name, s, off, a, c, hc[2 - t % 2] if C is None else C[t], H[t], ig, ca)
         if want_tape:
             layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C))
         seq = H
 
     y = h @ params.dense.w.T + params.dense.b
-    tape = Tape(params, layer_tapes, y_hat=y, buffers=bufs, batched_input=batched) if want_tape else None
-    return (y if batched else y[0]), tape
+    return y, (Tape(params, layer_tapes, y_hat=y, buffers=bufs) if want_tape else None)
+
+
+class Rolling:
+    """Stride-1 inference over a stream of rows: window j covers rows j..j+w-1
+    from a zero state, so row r is step r-j of the (up to) w windows in flight.
+
+    Their states are one [w, in + L·h] matrix laid out [x | h_0 | h_1 | ...]
+    and a [L, w, h] cell array; window j owns slot j mod w, zeroed as it
+    starts. Per layer a push runs one GEMM of the layer's [input | h] columns
+    against its fused [Wx | Wh]; the cell step writes h into the columns the
+    next layer reads. The same rows give the same bits whoever pushes them;
+    `forward` agrees to rounding only (the fused GEMM sums in another order)."""
+
+    def __init__(self, params: NetworkParams, window: int):
+        hs, n_in, dt = params.hidden_size, params.input_size, params.dtype
+        self.params, self.window, self.rows = params, window, 0
+        # full [w, 4h] operands (numpy broadcasts a [4h] row at half speed), C-ordered weights (GEMM ~20% faster)
+        s, off = _gate_scale(hs, params.input_activation, dt)
+        self.s, self.off = (np.tile(v, (window, 1)) for v in (s, off))
+        # per layer: the state columns [lo, hi) of its [input | h], its fused [in_l + h, 4h] weights, its bias
+        self.layers = [(n_in + (li - 1) * hs if li else 0, n_in + (li + 1) * hs,
+                        np.ascontiguousarray(np.hstack([l.wx, l.wh]).T * s), np.tile(l.b * s, (window, 1)))
+                       for li, l in enumerate(params.layers)]
+        self.state = np.zeros((window, n_in + len(params.layers) * hs), dtype=dt)
+        self.cells = np.zeros((len(params.layers), window, hs), dtype=dt)
+        self.z, (self.ig, self.ca) = np.empty((window, 4 * hs), dt), np.empty((2, window, hs), dt)
+
+    def push(self, row: np.ndarray) -> np.ndarray | None:
+        """Advance every window in flight by one normalized row [input_size]; return
+        the output [out] of the window it completes (None until the first one)."""
+        X, p, hs = self.state, self.params, self.params.hidden_size
+        slot = self.rows % self.window  # the window that starts at this row
+        X[slot, p.input_size :] = 0.0
+        self.cells[:, slot] = 0.0
+        X[:, : p.input_size] = row
+        for (lo, hi, wt, b), c in zip(self.layers, self.cells):
+            z = np.matmul(X[:, lo:hi], wt, out=self.z)
+            z += b
+            _cell_step(p.input_activation, self.s, self.off, z, c, c, X[:, hi - hs : hi], self.ig, self.ca)
+        self.rows += 1
+        if self.rows < self.window:
+            return None
+        return X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b  # slot of window rows - w, now complete
 
 
 def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Tape-free forward over many windows, in fixed-size chunks.
+    """Tape-free forward over many windows [m, w, in], in fixed-size chunks.
 
     Chunking changes BLAS blocking, so outputs are reproducible only for a
-    fixed batch_size; use batch_size=1 to match streaming inference bit for
-    bit.
+    fixed batch_size. Stride-1 flight inference, online and offline, runs
+    through `Rolling` instead, which gives both the same bits.
     """
     windows = np.asarray(windows)
     out = np.empty((len(windows), params.output_size), dtype=params.dtype)
@@ -331,9 +379,6 @@ def loss_grad(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
 def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     """Exact gradients of the batch loss w.r.t. every parameter."""
     params = tape.params
-    y = np.asarray(y)
-    if not tape.batched_input:
-        y = y[None]
     dy = loss_grad(tape.y_hat, y, spec)  # [B, out]
 
     act_name = params.input_activation

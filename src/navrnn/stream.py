@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .flightlog import FlightLog
 from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, unify_rates
-from .rnn import Checkpoint, forward
+from .rnn import Checkpoint, Rolling
 from .evaluate import predict_increments
 
 _DONE = object()
@@ -189,19 +189,20 @@ def _bin_period_us(ckpt: Checkpoint, cfg: StreamConfig) -> int:
 
 
 def _predict(ckpt: Checkpoint, cfg: StreamConfig, period_us: int, anchor_us: int, readers: dict, queues: dict):
-    """The consumer loop: one bin per period, one prediction once the window is full.
+    """The consumer loop: one bin per period, one prediction per completed window.
 
     readers[sensor].take(edge) returns the samples that arrived up to edge,
-    in time order, and whether the sensor's stream has ended. The loop stops
-    at the first period in which every stream has ended and no sample fell
-    in the bin.
-    """
+    in time order, and whether the sensor's stream has ended. Each released
+    row advances one `Rolling`; rows held back for a late sensor come out
+    together, and each window they complete is stamped with its last row's
+    edge. The loop stops at the first period in which every stream has ended
+    and no sample fell in the bin."""
     meta = ckpt.meta
-    window = meta["window"]
     norm = Normalization(mean=meta["feature_mean"], std=meta["feature_std"])
     rng = np.random.default_rng(cfg.seed)
     assembler = FeatureAssembler(anchor_us)
-    rows: list[np.ndarray] = []
+    rolling = Rolling(ckpt.params, meta["window"])
+    edges: list[int] = []  # edges closed whose rows the assembler holds; it releases them all at once
     wall_start = time.perf_counter()
     edge_prev = anchor_us
     k = 0
@@ -221,23 +222,22 @@ def _predict(ckpt: Checkpoint, cfg: StreamConfig, period_us: int, anchor_us: int
         for name, (t, values, _) in taken.items():
             assembler.add(name, t, values)
         features, empty = assembler.close([edge])
-        rows.extend(norm.apply(features))
-        del rows[:-window]
+        edges.append(edge)
         edge_prev = edge
-        if len(rows) < window:
-            continue
-        y, _ = forward(ckpt.params, np.stack(rows), want_tape=False)
-        yield OnlinePrediction(
-            t_us=int(edge),
-            increment=y,
-            latency_ms=(time.perf_counter() - t_compute) * 1e3,
-            dropped_samples=sum(q.dropped for q in queues.values()),
-            carried_imu=bool(empty["imu"][-1]),
-        )
+        for row, row_edge, carried in zip(norm.apply(features), edges, empty["imu"]):
+            if (y := rolling.push(row)) is not None:
+                yield OnlinePrediction(
+                    t_us=row_edge,
+                    increment=y,
+                    latency_ms=(time.perf_counter() - t_compute) * 1e3,
+                    dropped_samples=sum(q.dropped for q in queues.values()),
+                    carried_imu=bool(carried),
+                )
+        del edges[: len(features)]
 
 
 def online_infer(ckpt: Checkpoint, queues: dict[str, SensorQueue], cfg: StreamConfig, anchor_us: int):
-    """Yield one OnlinePrediction per elapsed period once the window is full.
+    """Yield one OnlinePrediction per completed window, one per period once the first is full.
 
     The consumer drains each queue up to the period's bin edge, blocking at
     replay_speed 0 and paced by the wall clock otherwise. Causal feature
@@ -277,12 +277,12 @@ def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[Onli
 def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[OnlinePrediction]) -> dict:
     """Diff a log's online predictions against the batch path.
 
-    The offline reference predicts window by window (batch size 1) so both
-    sides execute identical arithmetic; with zero jitter the deviations are
-    exactly zero.
+    The offline reference pushes the same rows through the same `Rolling`,
+    so both sides execute identical arithmetic; with zero jitter the
+    deviations are exactly zero.
     """
     series = unify_rates(log)
-    offline = predict_increments(ckpt, series, batch_size=1)
+    offline = predict_increments(ckpt, series)
     online_arr = np.array([p.increment for p in predictions], dtype=np.float64)
     offline_arr = offline.astype(np.float64)
     n = min(len(online_arr), len(offline_arr))

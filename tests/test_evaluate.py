@@ -10,9 +10,11 @@ from navrnn.evaluate import (
     compute_mpe,
     compute_tn_mpe,
     evaluate_flight,
+    predict_increments,
     reconstruct_path,
 )
 from navrnn.preprocess import unify_rates
+from navrnn.rnn import Checkpoint
 from oracles import difference
 
 
@@ -135,6 +137,15 @@ class TestEvaluateFlight:
         log = small_ckpt["val_log"].crop(0, 2_000_000)
         with pytest.raises(DataError):
             evaluate_flight(small_ckpt["ckpt"], unify_rates(log))
+
+    def test_prediction_count_at_the_window_boundary(self, small_ckpt):
+        ckpt = small_ckpt["ckpt"]
+        series = unify_rates(small_ckpt["val_log"])
+        n = len(series.labels)
+        at_edge = Checkpoint(ckpt.params, ckpt.config, dict(ckpt.meta, window=n))
+        assert predict_increments(at_edge, series).shape == (1, 6)
+        with pytest.raises(DataError, match="too short"):
+            predict_increments(Checkpoint(ckpt.params, ckpt.config, dict(ckpt.meta, window=n + 1)), series)
 
     def test_artifacts_written(self, small_ckpt, tmp_path):
         m = evaluate_flight(small_ckpt["ckpt"], unify_rates(small_ckpt["val_log"]))

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from navrnn.cli import main
-from navrnn.errors import CheckpointError, ConfigError
+from navrnn.errors import CheckpointError, ConfigError, DataError
 from navrnn.rnn import (
     ACTIVATIONS,
     AdamState,
@@ -14,6 +14,7 @@ from navrnn.rnn import (
     LayerParams,
     LossSpec,
     NetworkConfig,
+    Rolling,
     adam_step,
     backward,
     forward,
@@ -167,8 +168,8 @@ class TestCellSteps:
         for t in range(7):
             h, c = lstm_cell_step(x[t], h, c, params.layers[0])
         y_loop = params.dense.w @ h + params.dense.b
-        y_fwd, _ = forward(params, x)
-        np.testing.assert_allclose(y_fwd, y_loop, atol=1e-12)
+        y_fwd, _ = forward(params, x[None])
+        np.testing.assert_allclose(y_fwd[0], y_loop, atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     def test_lstm_batched_forward_matches_oracle(self, rng, activation):
@@ -206,17 +207,17 @@ class TestForward:
         params = init_params(cfg, seed=0, dtype=np.float64)
         for layer in params.layers:
             layer.b[:] = 0.0
-        y, _ = forward(params, np.zeros((10, 11)))
+        y, _ = forward(params, np.zeros((1, 10, 11)))
         np.testing.assert_array_equal(y, 0.0)
 
     def test_order_sensitivity(self, rng):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=16)
         params = init_params(cfg, seed=1)
         x = rng.standard_normal((30, 11)).astype(np.float32)
-        y1, _ = forward(params, x, want_tape=False)
+        y1, _ = forward(params, x[None], want_tape=False)
         swapped = x.copy()
         swapped[[5, 20]] = swapped[[20, 5]]
-        y2, _ = forward(params, swapped, want_tape=False)
+        y2, _ = forward(params, swapped[None], want_tape=False)
         assert not np.array_equal(y1, y2)
 
     def test_batch_rows_identical_for_identical_windows(self, rng):
@@ -231,8 +232,8 @@ class TestForward:
     def test_shape_mismatch(self):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=4, input_size=11)
         params = init_params(cfg, seed=0)
-        with pytest.raises(Exception):
-            forward(params, np.zeros((5, 7)))
+        with pytest.raises(DataError):
+            forward(params, np.zeros((1, 5, 7)))
 
     def test_predict_matches_forward_chunking(self, rng):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=8)
@@ -241,6 +242,25 @@ class TestForward:
         a = predict(params, x, batch_size=4)
         b = predict(params, x, batch_size=4)
         assert np.array_equal(a, b)
+
+
+class TestRolling:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("window", [1, 5, 50])
+    def test_matches_per_window_forward(self, rng, dtype, rtol, activation, layers, window):
+        cfg = NetworkConfig(recurrent_layers=layers, hidden_size=16, input_activation=activation)
+        params = init_params(cfg, seed=4, dtype=dtype)
+        rows = rng.standard_normal((window + 23, 11)).astype(dtype)
+        rolling = Rolling(params, window)
+        out = [rolling.push(row) for row in rows]
+        assert all(y is None for y in out[: window - 1])
+        got = np.array(out[window - 1 :])
+        assert got.shape == (len(rows) - window + 1, 6) and got.dtype == dtype
+        ref = np.array([forward(params, rows[j : j + window][None], want_tape=False)[0][0] for j in range(len(got))])
+        # the fused [Wx | Wh] GEMM sums in another order: equal to rounding, relative to the output scale
+        assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
 class TestLoss:

@@ -163,17 +163,33 @@ class TestOnlineInference:
         assert report["dropped_samples"] == 0
         assert report["n_online"] >= report["n_offline"]
 
+    @staticmethod
+    def _late_barometer(delay_us: int):
+        full = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=31, noise=NoiseConfig.low_cost()))
+        b = full.baro
+        keep = b.t_us >= full.ekf.t_us[0] + delay_us
+        return replace(full, baro=BaroStream(b.t_us[keep], b.values[keep]))
+
     def test_late_barometer_matches_offline(self, small_ckpt):
         # the barometer's first sample comes 0.5 s after the first bin edge:
         # its leading empty bins take that sample, online as offline
-        full = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=31, noise=NoiseConfig.low_cost()))
-        b = full.baro
-        keep = b.t_us >= full.ekf.t_us[0] + 500_000
-        log = replace(full, baro=BaroStream(b.t_us[keep], b.values[keep]))
+        log = self._late_barometer(500_000)
         assert log.defects(max_gap_s=1.0) == []
         ckpt = small_ckpt["ckpt"]
         report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
         assert report["bitwise_equal"]
+
+    def test_barometer_late_by_more_than_a_window_predicts_every_window(self, small_ckpt):
+        # 5 s of held-back rows (25 bins, window 20) come out of one close;
+        # each window they complete is predicted, at its own last edge
+        log, ckpt = self._late_barometer(5_000_000), small_ckpt["ckpt"]
+        preds = run_stream(log, ckpt, StreamConfig())
+        report = compare_online_offline(log, ckpt, preds)
+        assert report["bitwise_equal"]
+        assert report["n_online"] == report["n_offline"] + 1  # the last window has no label offline
+        series = unify_rates(log)
+        w = small_ckpt["window"]
+        assert [p.t_us for p in preds] == list(series.t_us[w - 1 :])
 
     def test_closed_loop_starts_no_thread(self, small_ckpt, monkeypatch):
         monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"{self.name} started"))
@@ -210,6 +226,19 @@ class TestOfflineParity:
         a = predict_increments(small_ckpt["ckpt"], series, batch_size=1)
         b = predict_increments(small_ckpt["ckpt"], series, batch_size=1)
         assert np.array_equal(a, b)
+
+    def test_stream_equals_default_predict_increments(self, small_ckpt):
+        log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
+        online = np.array([p.increment for p in run_stream(log, ckpt, StreamConfig())])
+        offline = predict_increments(ckpt, unify_rates(log))
+        assert len(online) == len(offline) + 1
+        assert np.array_equal(online[:-1], offline)
+
+    def test_predict_increments_ignores_batch_size(self, small_ckpt):
+        series = unify_rates(small_ckpt["val_log"])
+        ref = predict_increments(small_ckpt["ckpt"], series)
+        for batch_size in (1, 7, 256):
+            assert np.array_equal(predict_increments(small_ckpt["ckpt"], series, batch_size=batch_size), ref)
 
     def test_online_count_matches_bins(self, small_ckpt):
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
