@@ -44,8 +44,8 @@ _REQUIRED = object()
 def _get(config: dict, key: str, kind=str, default=_REQUIRED):
     """config[key] converted by kind (str, int, float, dict or list); a missing
     or null key gives default. A list or dict key takes only a JSON array or
-    object. A missing required key, or a value that kind cannot convert,
-    raises ConfigError naming the key."""
+    object, an int key no bool and no fractional number. A missing required
+    key, or a value that kind cannot convert, raises ConfigError naming the key."""
     value = config.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -53,6 +53,8 @@ def _get(config: dict, key: str, kind=str, default=_REQUIRED):
         return default
     if kind in (list, dict) and not isinstance(value, kind):
         raise ConfigError(f"{key!r} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -13,11 +13,16 @@ so the decimal round trip is bit exact.
 The same text codec serves every JSON and CSV file the toolkit reads or
 writes: `write_json`/`read_json_object` and `write_table`/`read_table`.
 A file the readers cannot parse raises one error that names the file.
+One binary codec serves the NAVW windows file and the NAVC checkpoint:
+`write_binary`, `read_binary` and `split_payload` (a magic, a packed head,
+little-endian float32 arrays), each raising the caller's error class.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -111,16 +116,6 @@ class EkfStream(_Stream):
 
 # a log's streams, in file and field order
 STREAMS = {"imu": ImuStream, "baro": BaroStream, "mag": MagStream, "ekf": EkfStream}
-
-
-@dataclass
-class EkfState:
-    """A single estimator sample; used as an integration start point."""
-
-    t_us: int
-    quat: np.ndarray
-    vel_ned: np.ndarray
-    pos_ned: np.ndarray
 
 
 @dataclass
@@ -254,6 +249,52 @@ def read_table(path: str | Path, header: str) -> tuple[np.ndarray, np.ndarray]:
     except ValueError as exc:  # a bad value, a wrong field count or invalid UTF-8
         raise DataError(f"{path}: malformed table ({exc})") from exc
     return rows["t"], rows["v"]
+
+
+# ---------------------------------------------------------------------------
+# binary codec
+
+
+def write_binary(path: str | Path, magic: bytes, head: bytes, arrays) -> None:
+    """Write magic, then the packed head, then each array as little-endian float32."""
+    with open(path, "wb") as fh:
+        fh.write(magic + head)
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def read_binary(path: str | Path, magic: bytes, head: str, version: int, error: type[Exception]):
+    """Read a file written by write_binary whose head packs struct format head,
+    version first: returns the head's other fields and the bytes after it. A
+    missing file, a bad magic, a short head or another version raises error."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"missing file: {path}")
+    data = memoryview(path.read_bytes())
+    size = struct.calcsize(head)
+    if data[: len(magic)] != magic:
+        raise error(f"{path}: bad magic {bytes(data[: len(magic)])!r}")
+    if len(data) < len(magic) + size:
+        raise error(f"{path}: truncated header")
+    found, *fields = struct.unpack_from(head, data, len(magic))
+    if found != version:
+        raise error(f"{path}: unsupported version {found}")
+    return fields, data[len(magic) + size :]
+
+
+def split_payload(path: str | Path, payload, shapes, error: type[Exception]) -> dict[str, np.ndarray]:
+    """Cut payload into float32 arrays of the (name, shape) pairs, in order.
+    A payload too short for them or with bytes left over raises error."""
+    arrays, offset = {}, 0
+    for name, shape in shapes:
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
+            raise error(f"{path}: truncated payload: its {len(payload)} bytes end inside {name}")
+        arrays[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+        offset += 4 * count
+    if offset != len(payload):
+        raise error(f"{path}: {len(payload) - offset} trailing payload bytes")
+    return arrays
 
 
 # ---------------------------------------------------------------------------

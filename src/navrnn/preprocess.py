@@ -7,7 +7,9 @@ state. Ground time is trimmed with a velocity-hysteresis detector. The
 cleanup verdict (clean_log, detect_corrupted) is decided here alone: a log
 that cannot be read, has a defect, never takes off or is too short is
 rejected with a reason. Fixed-length windows with z-scored features feed
-the network. Raw measurements are never filtered.
+the network; `build_dataset` is the only code that cuts them, and the NAVW
+windows file goes through flightlog's binary codec. Raw measurements are
+never filtered.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
-from .flightlog import STREAMS, EkfState, FlightLog, read_flight_log, read_json_object, write_json
+from .flightlog import (STREAMS, FlightLog, read_binary, read_flight_log, read_json_object, split_payload,
+                        write_binary, write_json)
 from .synth import DatasetManifest, LogEntry
 
 logger = logging.getLogger(__name__)
@@ -33,6 +36,7 @@ N_LABELS = len(LABEL_NAMES)
 
 WINDOWS_MAGIC = b"NAVW"
 WINDOWS_VERSION = 1
+WINDOWS_HEAD = "<5I"  # version, window count, window length, feature count, label count
 
 
 @dataclass
@@ -48,7 +52,6 @@ class UnifiedSeries:
     t_us: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    init_state: EkfState
     state_pos: np.ndarray
     state_vel: np.ndarray
     baro_carried: int = 0
@@ -166,17 +169,10 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
     state_pos = log.ekf.pos_ned[1:]
     state_vel = log.ekf.vel_ned[1:]
     labels = np.hstack([np.diff(state_pos, axis=0), np.diff(state_vel, axis=0)])
-    init = EkfState(
-        t_us=int(t_edges[1]),
-        quat=log.ekf.quat[1].copy(),
-        vel_ned=log.ekf.vel_ned[1].copy(),
-        pos_ned=log.ekf.pos_ned[1].copy(),
-    )
     return UnifiedSeries(
         t_us=t_edges[1:].copy(),
         features=features,
         labels=labels,
-        init_state=init,
         state_pos=state_pos,
         state_vel=state_vel,
         baro_carried=int(empty["baro"].sum()),
@@ -354,47 +350,6 @@ class WindowedDataset:
         return len(self.windows)
 
 
-def window_count(n_labels: int, window: int, stride: int) -> int:
-    return (n_labels - window) // stride + 1
-
-
-def make_windows(
-    series: UnifiedSeries,
-    window: int = 200,
-    stride: int = 1,
-    normalization: Normalization | None = None,
-    weights: np.ndarray | None = None,
-) -> WindowedDataset:
-    """Slice one unified series into overlapping windows.
-
-    Window j covers feature rows [j*stride, j*stride + window); its label is
-    the increment at the window's final step. Normalization defaults to
-    statistics of this series alone; pass the training-corpus statistics for
-    anything that will be evaluated.
-    """
-    if window < 1 or stride < 1:
-        raise ConfigError("window and stride must be >= 1")
-    n_labels = len(series.labels)
-    if n_labels < window:
-        raise DataError(f"series too short: {n_labels} labels < window {window}")
-    norm = normalization or Normalization.fit(series.features)
-    rows = norm.apply(series.features)
-    m = window_count(n_labels, window, stride)
-    view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[: (m - 1) * stride + 1 : stride]
-    windows = np.ascontiguousarray(view.transpose(0, 2, 1))  # [m, window, f]
-    labels = series.labels[window - 1 :: stride][:m]
-    w = weights if weights is not None else compute_signal_weights(series.labels)
-    return WindowedDataset(
-        windows=windows,
-        labels=labels,
-        weights=w,
-        window_size=window,
-        stride=stride,
-        normalization=norm,
-        source_logs=[series.log_id],
-    )
-
-
 def build_dataset(
     series_list: list[UnifiedSeries],
     window: int = 200,
@@ -402,20 +357,34 @@ def build_dataset(
     normalization: Normalization | None = None,
     weights: np.ndarray | None = None,
 ) -> WindowedDataset:
-    """Window a corpus of flights; windows never straddle flights.
+    """Window a corpus of flights; the one windowing path. Windows never straddle flights.
 
-    Normalization statistics and signal weights are computed from the given
-    corpus when not provided, so compute them on the training corpus and
-    pass them in for the validation corpus.
+    Window j of a flight covers its feature rows [j*stride, j*stride + window);
+    its label is the increment at the window's final step. Each flight's rows
+    are normalised once and its strided window view is copied straight into
+    one C-contiguous [M, window, f] float32 array. Normalization statistics
+    and signal weights are computed from the given corpus when not provided,
+    so compute them on the training corpus and pass them in for the
+    validation corpus.
     """
     if not series_list:
         raise DataError("empty series list")
+    if window < 1 or stride < 1:
+        raise ConfigError("window and stride must be >= 1")
     norm = normalization or fit_normalization(series_list)
     w = weights if weights is not None else compute_signal_weights(np.vstack([s.labels for s in series_list]))
-    parts = [make_windows(s, window=window, stride=stride, normalization=norm, weights=w) for s in series_list]
+    views, labels = [], []
+    for s in series_list:
+        n_labels = len(s.labels)
+        if n_labels < window:
+            raise DataError(f"{s.log_id}: series too short: {n_labels} labels < window {window}")
+        rows = norm.apply(s.features[:n_labels])
+        views.append(np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[::stride].transpose(0, 2, 1))
+        labels.append(s.labels[window - 1 :: stride])
+    windows = np.empty((sum(map(len, views)), *views[0].shape[1:]), dtype=np.float32)
     return WindowedDataset(
-        windows=np.concatenate([p.windows for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts], axis=0),
+        windows=np.concatenate(views, axis=0, out=windows),
+        labels=np.concatenate(labels, axis=0, dtype=np.float32),
         weights=w,
         window_size=window,
         stride=stride,
@@ -449,49 +418,18 @@ def save_windows(dataset: WindowedDataset, path: str | Path, provenance: dict | 
     """Write windows.bin (binary) and a windows.json provenance sidecar."""
     path = Path(path)
     m, w, f = dataset.windows.shape
-    lab = dataset.labels.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(WINDOWS_MAGIC)
-        fh.write(struct.pack("<5I", WINDOWS_VERSION, m, w, f, lab))
-        fh.write(np.ascontiguousarray(dataset.windows, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.normalization.mean, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.normalization.std, dtype="<f4").tobytes())
-    sidecar = {
-        "source_logs": dataset.source_logs,
-        "window": dataset.window_size,
-        "stride": dataset.stride,
-        "count": m,
-    }
-    if provenance:
-        sidecar.update(provenance)
-    write_json(sidecar, path.with_suffix(".json"))
+    head = struct.pack(WINDOWS_HEAD, WINDOWS_VERSION, m, w, f, dataset.labels.shape[1])
+    norm = dataset.normalization
+    write_binary(path, WINDOWS_MAGIC, head, (dataset.windows, dataset.labels, dataset.weights, norm.mean, norm.std))
+    sidecar = {"source_logs": dataset.source_logs, "window": dataset.window_size, "stride": dataset.stride, "count": m}
+    write_json({**sidecar, **(provenance or {})}, path.with_suffix(".json"))
 
 
 def load_windows(path: str | Path) -> WindowedDataset:
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"missing windows file: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != WINDOWS_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        header = fh.read(20)
-        if len(header) != 20:
-            raise DataError(f"{path}: truncated header")
-        version, m, w, f, lab = struct.unpack("<5I", header)
-        if version != WINDOWS_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    expected = 4 * (m * w * f + m * lab + lab + 2 * f)
-    if len(payload) != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype="<f4")
-    o1 = m * w * f
-    o2 = o1 + m * lab
-    o3 = o2 + lab
-    o4 = o3 + f
+    (m, w, f, lab), payload = read_binary(path, WINDOWS_MAGIC, WINDOWS_HEAD, WINDOWS_VERSION, DataError)
+    shapes = (("windows", (m, w, f)), ("labels", (m, lab)), ("weights", (lab,)), ("mean", (f,)), ("std", (f,)))
+    arrays = split_payload(path, payload, shapes, DataError)
     sidecar_path = path.with_suffix(".json")
     meta = read_json_object(sidecar_path) if sidecar_path.is_file() else {}
     stride = meta.get("stride", 1)
@@ -504,12 +442,12 @@ def load_windows(path: str | Path) -> WindowedDataset:
         raise DataError(f"{sidecar_path}: source_logs must be a list of log ids")
     try:  # a value the dataclasses reject is bad file content, not bad configuration
         return WindowedDataset(
-            windows=arr[:o1].reshape(m, w, f).copy(),
-            labels=arr[o1:o2].reshape(m, lab).copy(),
-            weights=arr[o2:o3].copy(),
+            windows=arrays["windows"],
+            labels=arrays["labels"],
+            weights=arrays["weights"],
             window_size=w,
             stride=stride,
-            normalization=Normalization(mean=arr[o3:o4].copy(), std=arr[o4:].copy()),
+            normalization=Normalization(mean=arrays["mean"], std=arrays["std"]),
             source_logs=source_logs,
             period_ms=period_ms,
         )

@@ -29,12 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, check_fields
+from .flightlog import read_binary, split_payload, write_binary
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid")
 
 CHECKPOINT_MAGIC = b"NAVC"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEAD = "<2I"  # version, length of the JSON header that follows
 
 
 @dataclass
@@ -48,8 +50,7 @@ class NetworkConfig:
     # the recurrent (gate) activation is fixed to sigmoid
 
     def __post_init__(self):
-        if min(self.recurrent_layers, self.hidden_size, self.input_size, self.output_size) < 1:
-            raise ConfigError("network sizes must be positive")
+        check_fields(self, ints=dict.fromkeys(("recurrent_layers", "hidden_size", "input_size", "output_size"), 1))
         if self.cell != "lstm":
             raise ConfigError(f"unknown cell {self.cell!r}; only 'lstm' is supported")
         if self.input_activation not in ACTIVATIONS:
@@ -315,8 +316,11 @@ class Rolling:
         return X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b  # slot of window rows - w, now complete
 
 
-def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Tape-free forward over many windows [m, w, in], in fixed-size chunks.
+def predict(
+    params: NetworkParams, windows: np.ndarray, batch_size: int = 256, buffers: Buffers | None = None
+) -> np.ndarray:
+    """Tape-free forward over many windows [m, w, in], in fixed-size chunks, on
+    `buffers` (a fresh set without it); `train.fit`'s validation pass.
 
     Chunking changes BLAS blocking, so outputs are reproducible only for a
     fixed batch_size. Stride-1 flight inference, online and offline, runs
@@ -324,7 +328,7 @@ def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = 256) -
     """
     windows = np.asarray(windows)
     out = np.empty((len(windows), params.output_size), dtype=params.dtype)
-    bufs = Buffers()
+    bufs = Buffers() if buffers is None else buffers
     for start in range(0, len(windows), batch_size):
         chunk = windows[start : start + batch_size]
         out[start : start + len(chunk)] = forward(params, chunk, want_tape=False, buffers=bufs)[0]
@@ -504,19 +508,14 @@ def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path:
     for key in REQUIRED_META:
         if key not in meta:
             raise CheckpointError(f"meta missing required key {key!r}")
-    arrays = [(name, np.ascontiguousarray(a, dtype="<f4")) for name, a in params.arrays()]
     header = {
         "config": asdict(cfg),
         "meta": meta,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<2I", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(a.tobytes())
+    head = struct.pack(CHECKPOINT_HEAD, CHECKPOINT_VERSION, len(blob)) + blob
+    write_binary(path, CHECKPOINT_MAGIC, head, (a for _, a in params.arrays()))
 
 
 def _valid_array_desc(desc) -> bool:
@@ -551,26 +550,13 @@ def _check_meta(meta: dict, cfg: NetworkConfig, path: Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"missing checkpoint: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        head = fh.read(8)
-        if len(head) != 8:
-            raise CheckpointError(f"{path}: truncated header")
-        version, blob_len = struct.unpack("<2I", head)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
-            raise CheckpointError(f"{path}: truncated JSON header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        payload = fh.read()
+    (blob_len,), rest = read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_HEAD, CHECKPOINT_VERSION, CheckpointError)
+    if len(rest) < blob_len:
+        raise CheckpointError(f"{path}: truncated JSON header")
+    try:
+        header = json.loads(bytes(rest[:blob_len]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
 
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
@@ -586,21 +572,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: bad config ({exc})") from exc
     _check_meta(meta, cfg, path)
 
-    arrays = {}
-    offset = 0
     descs = header.get("arrays", [])
     if not isinstance(descs, list) or not all(map(_valid_array_desc, descs)):
         raise CheckpointError(f"{path}: malformed 'arrays' header")
-    for desc in descs:
-        shape = tuple(desc["shape"])
-        count = int(np.prod(shape))
-        nbytes = 4 * count
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated array data for {desc['name']}")
-        arrays[desc["name"]] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
+    arrays = split_payload(path, rest[blob_len:], [(d["name"], tuple(d["shape"])) for d in descs], CheckpointError)
 
     h, n = cfg.hidden_size, cfg.recurrent_layers
     expected = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 from .flightlog import FlightLog
 from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, unify_rates
 from .rnn import Checkpoint, Rolling
@@ -43,10 +43,7 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.queue_capacity < 1:
-            raise ConfigError("queue_capacity must be >= 1")
-        if self.jitter_ms < 0 or self.replay_speed < 0:
-            raise ConfigError("jitter_ms and replay_speed must be >= 0")
+        check_fields(self, ints={"queue_capacity": 1, "seed": 0}, floats={"jitter_ms": 0, "replay_speed": 0})
 
 
 @dataclass
@@ -63,7 +60,6 @@ class SensorQueue:
 
     def __init__(self, capacity: int):
         self._q: queue.Queue = queue.Queue(maxsize=capacity)
-        self._pushback = None  # consumer-side one-slot peek buffer
         self.dropped = 0
 
     def put(self, item) -> None:
@@ -79,21 +75,10 @@ class SensorQueue:
                     pass
 
     def get(self, timeout: float | None = None):
-        if self._pushback is not None:
-            item = self._pushback
-            self._pushback = None
-            return item
         return self._q.get(timeout=timeout)
 
     def get_nowait(self):
-        if self._pushback is not None:
-            item = self._pushback
-            self._pushback = None
-            return item
         return self._q.get_nowait()
-
-    def push_back(self, item) -> None:
-        self._pushback = item
 
 
 def make_queues(cfg: StreamConfig) -> dict[str, SensorQueue]:
@@ -131,30 +116,31 @@ def replay(log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue]) ->
 
 
 class _QueueReader:
-    """Drains one sensor queue up to a bin edge and remembers its end of stream."""
+    """Drains one sensor queue up to a bin edge, holding the one sample read
+    past it for the next call, and remembers its end of stream."""
 
     def __init__(self, name: str, q: SensorQueue, blocking: bool, timeout: float = 30.0):
-        self.name = name
-        self.q = q
-        self.blocking = blocking
-        self.timeout = timeout
+        self.name, self.q, self.blocking, self.timeout = name, q, blocking, timeout
         self.finished = False
+        self.held = None  # the sample read past the last edge
 
     def take(self, edge: int) -> tuple[list, list, bool]:
         t: list[int] = []
         values: list = []
         while not self.finished:
-            try:
-                item = self.q.get(timeout=self.timeout) if self.blocking else self.q.get_nowait()
-            except queue.Empty:
-                if self.blocking:
-                    raise DataError(f"{self.name} producer stalled (no data for {self.timeout:.0f}s)")
-                break
+            item, self.held = self.held, None
+            if item is None:
+                try:
+                    item = self.q.get(timeout=self.timeout) if self.blocking else self.q.get_nowait()
+                except queue.Empty:
+                    if self.blocking:
+                        raise DataError(f"{self.name} producer stalled (no data for {self.timeout:.0f}s)")
+                    break
             if item is _DONE:
                 self.finished = True
                 break
             if item[0] > edge:
-                self.q.push_back(item)
+                self.held = item
                 break
             t.append(item[0])
             values.append(item[1])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import quat
 from .deadreckon import GRAVITY_MPS2
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 from .flightlog import (
     BaroStream,
     EkfStream,
@@ -49,6 +49,11 @@ class Rates:
     mag: float = 45.0
     ekf: float = 5.0
 
+    def __post_init__(self):
+        check_fields(self, floats=dict.fromkeys(("imu", "baro", "mag", "ekf")))
+        if min(self.imu, self.baro, self.mag, self.ekf) <= 0:
+            raise ConfigError("rates must be positive")
+
 
 @dataclass
 class NoiseConfig:
@@ -70,9 +75,8 @@ class NoiseConfig:
     accel_bias_vec: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        for name in ("gyro_std", "accel_std", "gyro_bias", "accel_bias", "baro_std", "mag_std"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"noise {name} must be >= 0")
+        scalars = ("gyro_std", "accel_std", "gyro_bias", "accel_bias", "baro_std", "mag_std")
+        check_fields(self, floats=dict.fromkeys(scalars, 0))
         for name in ("gyro_bias_vec", "accel_bias_vec"):
             if getattr(self, name) is not None:
                 setattr(self, name, tuple(np.asarray(getattr(self, name), dtype=float).reshape(3).tolist()))
@@ -102,15 +106,12 @@ class SynthConfig:
     home_lat_deg: float = 30.0
 
     def __post_init__(self):
+        check_fields(self, ints={"seed": 0},
+                     floats={"duration_s": None, "ground_time_s": 0, "ground_drift_mps": None, "home_lat_deg": None})
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
-        for r in (self.rates_hz.imu, self.rates_hz.baro, self.rates_hz.mag, self.rates_hz.ekf):
-            if r <= 0:
-                raise ConfigError("rates must be positive")
-        if self.ground_time_s < 0:
-            raise ConfigError("ground_time_s must be >= 0")
 
     @property
     def total_duration_s(self) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError, check_fields
 from .flightlog import write_json
 from .preprocess import WindowedDataset
 from .rnn import (
@@ -21,6 +21,7 @@ from .rnn import (
     backward,
     forward,
     loss,
+    predict,
 )
 
 DEFAULT_LR_SCHEDULE = ((0, 0.005), (51, 0.0025), (101, 0.001))
@@ -36,8 +37,7 @@ class TrainConfig:
     loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights; a mapping builds a LossSpec
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        check_fields(self, ints={"epochs": 0, "batch_size": 1, "shuffle_seed": 0, "early_stop_patience": None})
         self.lr_schedule = tuple((int(e), float(lr)) for e, lr in self.lr_schedule)
         starts = [e for e, _ in self.lr_schedule]
         if not starts:
@@ -100,12 +100,12 @@ def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
 
 
 def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int, bufs=None) -> float:
+    """Mean loss over the dataset, from `predict`'s outputs summed chunk by chunk."""
+    y_hat = predict(params, dataset.windows, batch_size, buffers=bufs)
     total = 0.0
     for start in range(0, len(dataset), batch_size):
-        xb = dataset.windows[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        y_hat, _ = forward(params, xb, want_tape=False, buffers=bufs)
-        total += loss(y_hat, yb, spec) * len(xb)
+        total += loss(y_hat[start : start + batch_size], yb, spec) * len(yb)
     return total / max(len(dataset), 1)
 
 
@@ -129,8 +129,8 @@ def fit(
         raise DataError("training dataset is empty")
     if dataset.windows.shape[2] != init.input_size or dataset.labels.shape[1] != init.output_size:
         raise ConfigError(
-            f"dataset shapes {dataset.windows.shape[2]}/{dataset.labels.shape[1]} do not match "
-            f"network {init.input_size}/{init.output_size}"
+            f"dataset input/output size {dataset.windows.shape[2]}/{dataset.labels.shape[1]} does not match "
+            f"network input/output size {init.input_size}/{init.output_size}"
         )
     spec = _resolve_loss(cfg, dataset)
     params = init.copy()
@@ -200,15 +200,7 @@ def transfer_fit(
     """Retrain from a pretrained checkpoint on a new domain.
 
     All layers (including the output layer) start from the source weights;
-    the optimizer state starts fresh. Shapes must match the target data.
+    the optimizer state starts fresh. Shapes must match the target data
+    (`fit` checks them).
     """
-    params = source.params
-    if target_train.windows.shape[2] != params.input_size:
-        raise ConfigError(
-            f"checkpoint input size {params.input_size} != dataset feature size {target_train.windows.shape[2]}"
-        )
-    if target_train.labels.shape[1] != params.output_size:
-        raise ConfigError(
-            f"checkpoint output size {params.output_size} != dataset label size {target_train.labels.shape[1]}"
-        )
-    return fit(target_train, target_val, cfg, params, warm_start=True)
+    return fit(target_train, target_val, cfg, source.params, warm_start=True)

@@ -291,6 +291,16 @@ def _model_inputs(root: Path) -> dict:
     return {"checkpoint": str(root / "model" / "model_final.navc"), "dataset": str(root / "data")}
 
 
+def _train_inputs(root: Path, **fields) -> dict:
+    return {"train_windows": str(root / "pre" / "train_windows.bin"), **fields}
+
+
+def _stream_inputs(root: Path, **fields) -> dict:
+    log_id = json.loads((root / "pre" / "split.json").read_text())["val"][0]
+    model = str(root / "model" / "model_final.navc")
+    return {"checkpoint": model, "log": str(root / "data" / log_id), "stream": fields}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -306,6 +316,15 @@ def _model_inputs(root: Path) -> dict:
         ("stream", lambda root: {"checkpoint": str(root / "model" / "model_final.navc")}),
         ("eval", lambda root: {**_model_inputs(root), "logs": "abc"}),
         ("preprocess", lambda root: {"dataset": str(root / "data"), "trim": [["hold_s", 1.0]]}),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "window": 10.7}),
+        ("train", lambda root: _train_inputs(root, train={"epochs": 2.5})),
+        ("train", lambda root: _train_inputs(root, train={"batch_size": 1.5})),
+        ("train", lambda root: _train_inputs(root, network={"hidden_size": 8.0})),
+        ("stream", lambda root: _stream_inputs(root, jitter_ms=float("nan"))),
+        ("stream", lambda root: _stream_inputs(root, jitter_ms=float("inf"))),
+        ("synth", lambda root: {"flights": [{"duration_s": float("nan")}]}),
+        ("synth", lambda root: {"flights": [{"ground_time_s": float("nan")}]}),
+        ("synth", lambda root: {"flights": [{"rates_hz": {"imu": float("inf")}}]}),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -319,6 +338,15 @@ def _model_inputs(root: Path) -> dict:
         "stream_no_log",
         "eval_logs_not_an_array",
         "preprocess_trim_not_an_object",
+        "preprocess_fractional_window",
+        "train_fractional_epochs",
+        "train_fractional_batch_size",
+        "train_float_hidden_size",
+        "stream_nan_jitter",
+        "stream_infinite_jitter",
+        "synth_nan_duration",
+        "synth_nan_ground_time",
+        "synth_infinite_imu_rate",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from navrnn.flightlog import (
     read_flight_log,
     write_flight_log,
 )
+from navrnn.preprocess import Normalization, WindowedDataset, save_windows
+from navrnn.rnn import DenseParams, LayerParams, NetworkConfig, NetworkParams, save_checkpoint
 from navrnn.synth import SynthConfig, generate_flight
 
 
@@ -219,3 +224,52 @@ def test_unknown_vehicle_type_preserved(tmp_path):
     log.vehicle_type = "unknown"
     write_flight_log(log, tmp_path / "log")
     assert read_flight_log(tmp_path / "log").vehicle_type == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# the binary layouts, decoded by hand
+
+
+def _fixed(*shape, start=0.0):
+    return (start + np.arange(np.prod(shape), dtype=np.float32) / 8).reshape(shape)
+
+
+def test_navw_layout(tmp_path):
+    # magic, <5I version/m/w/f/labels, then windows, labels, weights, mean, std as <f4
+    m, w, f, lab = 2, 3, 4, 5
+    arrays = [_fixed(m, w, f), _fixed(m, lab, start=-1.0), _fixed(lab, start=1.0), _fixed(f), _fixed(f, start=2.0)]
+    norm = Normalization(mean=arrays[3], std=arrays[4])
+    save_windows(WindowedDataset(*arrays[:3], window_size=w, stride=2, normalization=norm), tmp_path / "w.bin")
+    data = (tmp_path / "w.bin").read_bytes()
+    assert data[:4] == b"NAVW"
+    assert struct.unpack("<5I", data[4:24]) == (1, m, w, f, lab)
+    sizes = [a.size for a in arrays]
+    assert len(data) == 24 + 4 * sum(sizes)
+    parts = np.split(np.frombuffer(data, dtype="<f4", offset=24), np.cumsum(sizes)[:-1])
+    for part, a in zip(parts, arrays):
+        np.testing.assert_array_equal(part.reshape(a.shape), a)
+
+
+def test_navc_layout(tmp_path):
+    # magic, <2I version/JSON length, the sorted-key JSON header, then each array as <f4 in header order
+    params = NetworkParams(
+        layers=[LayerParams(_fixed(8, 3), _fixed(8, 2, start=-1.0), _fixed(8, start=1.0))],
+        dense=DenseParams(_fixed(1, 2, start=3.0), _fixed(1, start=-2.0)),
+    )
+    cfg = NetworkConfig(recurrent_layers=1, hidden_size=2, input_size=3, output_size=1)
+    meta = {"window": 4, "feature_mean": [0.0] * 3, "feature_std": [1.0] * 3, "loss_weights": [2.0]}
+    save_checkpoint(params, cfg, meta, tmp_path / "m.navc")
+    data = (tmp_path / "m.navc").read_bytes()
+    assert data[:4] == b"NAVC"
+    version, blob_len = struct.unpack("<2I", data[4:12])
+    header = {
+        "config": {"recurrent_layers": 1, "hidden_size": 2, "input_size": 3, "output_size": 1,
+                   "cell": "lstm", "input_activation": "tanh"},
+        "meta": meta,
+        "arrays": [{"name": n, "shape": s} for n, s in (("layer0.wx", [8, 3]), ("layer0.wh", [8, 2]),
+                                                         ("layer0.b", [8]), ("dense.w", [1, 2]), ("dense.b", [1]))],
+    }
+    assert version == 1
+    assert data[12 : 12 + blob_len] == json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = np.frombuffer(data, dtype="<f4", offset=12 + blob_len)
+    np.testing.assert_array_equal(payload, np.concatenate([a.ravel() for _, a in params.arrays()]))

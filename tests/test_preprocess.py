@@ -22,12 +22,10 @@ from navrnn.preprocess import (
     compute_signal_weights,
     detect_corrupted,
     load_windows,
-    make_windows,
     save_windows,
     split_dataset,
     trim_ground_time,
     unify_rates,
-    window_count,
 )
 from navrnn.synth import DatasetManifest, LogEntry, SynthConfig, generate_flight
 from oracles import difference
@@ -177,7 +175,7 @@ class TestUnifyRates:
         series = unify_rates(log)
         expected = np.hstack([np.diff(log.ekf.pos_ned[1:], axis=0), np.diff(log.ekf.vel_ned[1:], axis=0)])
         np.testing.assert_array_equal(series.labels, expected)
-        assert series.init_state.t_us == log.ekf.t_us[1]
+        assert series.t_us[0] == log.ekf.t_us[1]
 
 
 class TestDifference:
@@ -365,24 +363,22 @@ class TestWindows:
     def test_window_counts(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
         n_labels = len(series.labels)
-        ds = make_windows(series, window=50, stride=1)
+        ds = build_dataset([series], window=50, stride=1)
         assert len(ds) == n_labels - 50 + 1
-        ds3 = make_windows(series, window=50, stride=3)
+        ds3 = build_dataset([series], window=50, stride=3)
         assert len(ds3) == (n_labels - 50) // 3 + 1
-
-    def test_example_window_arithmetic(self):
-        assert window_count(1000, 200, 1) == 801
+        assert ds3.windows.flags.c_contiguous and ds3.windows.dtype == np.float32
 
     def test_boundary_single_window(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
         n_labels = len(series.labels)
-        ds = make_windows(series, window=n_labels, stride=1)
+        ds = build_dataset([series], window=n_labels, stride=1)
         assert len(ds) == 1
         np.testing.assert_array_equal(ds.labels[0], series.labels[-1].astype(np.float32))
 
     def test_adjacent_labels_consecutive(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
-        ds = make_windows(series, window=30, stride=1)
+        ds = build_dataset([series], window=30, stride=1)
         np.testing.assert_array_equal(ds.labels[:10], series.labels[29:39].astype(np.float32))
         # stride-1 windows overlap by window-1 rows
         np.testing.assert_array_equal(ds.windows[1][:-1], ds.windows[0][1:])
@@ -390,11 +386,11 @@ class TestWindows:
     def test_too_short(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
         with pytest.raises(DataError):
-            make_windows(series, window=len(series.labels) + 1)
+            build_dataset([series], window=len(series.labels) + 1)
 
     def test_normalization_applied(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
-        ds = make_windows(series, window=20)
+        ds = build_dataset([series], window=20)
         flat = ds.windows.reshape(-1, 11)
         assert np.abs(flat.mean(axis=0)).max() < 0.5
         norm = ds.normalization

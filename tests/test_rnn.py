@@ -475,6 +475,8 @@ class TestCheckpoint:
             pytest.param({"cell": "gru"}, id="cell"),
             pytest.param({"input_activation": "softplus"}, id="input_activation"),
             pytest.param({"hidden_size": 0}, id="size"),
+            pytest.param({"recurrent_layers": 1.0}, id="float_layers"),
+            pytest.param({"hidden_size": True}, id="bool_size"),
         ],
     )
     def test_header_config_rejected_by_network_config(self, tmp_path, capsys, config):

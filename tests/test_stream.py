@@ -31,13 +31,6 @@ class TestSensorQueue:
         assert q.get()[0] == 8
         assert q.get()[0] == 9
 
-    def test_pushback(self):
-        q = SensorQueue(capacity=4)
-        q.put((1, "a"))
-        item = q.get()
-        q.push_back(item)
-        assert q.get() == (1, "a")
-
 
 class TestReplay:
     def test_fast_replay_delivers_in_order(self, noisy_logs):
