@@ -13,11 +13,12 @@ import logging
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
-from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError
+from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError, check_fields
 from .flightlog import read_flight_log, read_json_object, write_json, write_table
 
 log = logging.getLogger("navrnn")
@@ -119,14 +120,17 @@ def cmd_synth(args) -> int:
 
 
 def _cleanup_options(config: dict) -> dict:
-    """detect_corrupted keyword arguments from a preprocess or eval config."""
+    """detect_corrupted keyword arguments from a preprocess or eval config,
+    each a finite number >= 0."""
     trim = _get(config, "trim", dict, {})
-    return {
+    options = {
         "max_gap_s": _get(config, "max_gap_s", float, 1.0),
         "min_duration_s": _get(config, "min_duration_s", float, 60.0),
         "vel_thresh_mps": _get(trim, "vel_thresh_mps", float, 0.5),
         "hold_s": _get(trim, "hold_s", float, 1.0),
     }
+    check_fields(SimpleNamespace(**options), floats=dict.fromkeys(options, 0))
+    return options
 
 
 def _clean_logs(manifest: synth.DatasetManifest, options: dict):

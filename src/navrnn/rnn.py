@@ -14,8 +14,8 @@ sigmoid columns, 1/0 on a tanh g; a relu g is taken before the tanh); the ½
 inside the tanh is folded into the weights once per call, which is exact.
 The block is activated in place in the input-projection buffer, which is
 the tape's `a` [w, B, 4h]; `c` (the cell state) and `h` are [w, B, h], and
-backward recomputes act(c) one step at a time. Work arrays come from a
-`Buffers` set, which `train.fit` and `predict` reuse from batch to batch.
+backward recomputes act(c) one step at a time and writes its gradients over
+`a` and `c`. Work arrays come from a `Buffers` set, reused batch to batch.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
 class Buffers(dict):
     """Named work arrays that forward and backward reuse from call to call.
 
-    Each name owns one flat byte buffer, grown on demand and never shrunk; an
-    array is carved from its front, so every batch size gets a contiguous
-    view. A tape made from a set is valid until the next forward on that set.
+    Each name owns one flat byte buffer, grown on demand and never shrunk; an array is carved from its
+    front, so every batch size gets a contiguous view. A tape made from a set is valid until the next
+    forward on that set; backward writes its gradients into the tape and its step scratch into the set.
     """
 
     def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
@@ -198,18 +198,21 @@ class _LayerTape:
 
 @dataclass
 class Tape:
-    """Per-step activations retained by forward for backpropagation."""
+    """Per-step activations retained by forward for one backward, which overwrites them:
+    gate gradients go into `a` and input gradients into `c`, so a second backward raises."""
 
     params: NetworkParams
     layer_tapes: list[_LayerTape]
     y_hat: np.ndarray  # [B, out]
     buffers: Buffers  # the set the tape lives in; backward takes its scratch from it
+    consumed: bool = False  # set by backward
 
 
-def _gate_scale(hs: int, act_name: str, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Scale s (½ on sigmoid columns, 1 on a tanh/relu g) and offset 1 - s of the gate block."""
-    s = np.full(4 * hs, 0.5, dtype=dt)
-    s[2 * hs : 3 * hs] = 0.5 if act_name == "sigmoid" else 1.0
+def _gate_scale(hs: int, act_name: str, dt, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale s (½ on sigmoid columns, 1 on a tanh/relu g) and offset 1 - s of the gate block, tiled to
+    [rows, 4h] operands of the cell step (numpy broadcasts a [4h] row at half speed)."""
+    s = np.full((rows, 4 * hs), 0.5, dtype=dt)
+    s[:, 2 * hs : 3 * hs] = 0.5 if act_name == "sigmoid" else 1.0
     return s, 1.0 - s
 
 
@@ -246,16 +249,15 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, b
     seq = bufs.take("x", (w, B, x.shape[2]), dt)  # [w, B, in]
     np.copyto(seq, np.swapaxes(x, 0, 1))
     layer_tapes: list[_LayerTape] = []
-    s, off = _gate_scale(hs, act_name, dt)
+    s, off = _gate_scale(hs, act_name, dt, B)
     zh, ig, ca = bufs.take("zh", (B, 4 * hs), dt), bufs.take("ig", (B, hs), dt), bufs.take("ca", (B, hs), dt)
 
     for li, layer in enumerate(params.layers):
         # pre-activation z/2 on the sigmoid columns (exact)
-        wx, wh, b = layer.wx * s[:, None], layer.wh * s[:, None], layer.b * s
+        wx, wh, b = layer.wx * s[0, :, None], layer.wh * s[0, :, None], np.tile(layer.b * s[0], (B, 1))
         # without a tape one gate block serves every layer, and the outputs alternate between two buffers
         pre = bufs.take(f"a{li if want_tape else 0}", (w, B, 4 * hs), dt)  # [w, B, 4h]
         np.matmul(seq.reshape(w * B, -1), wx.T, out=pre.reshape(w * B, -1))
-        pre += b
         H = bufs.take(f"h{li if want_tape else li % 2}", (w, B, hs), dt)
         C = bufs.take(f"c{li}", (w, B, hs), dt) if want_tape else None
         # zero initial state; without a tape c alternates between hc[2] and hc[1] (in place is slower)
@@ -263,6 +265,7 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, b
         hc.fill(0.0)
         for t in range(w):
             a = pre[t]
+            a += b  # per step, while the step's block is in cache
             a += np.matmul(h, wh.T, out=zh)
             h, c = _cell_step(act_name, s, off, a, c, hc[2 - t % 2] if C is None else C[t], H[t], ig, ca)
         if want_tape:
@@ -287,12 +290,12 @@ class Rolling:
     def __init__(self, params: NetworkParams, window: int):
         hs, n_in, dt = params.hidden_size, params.input_size, params.dtype
         self.params, self.window, self.rows = params, window, 0
-        # full [w, 4h] operands (numpy broadcasts a [4h] row at half speed), C-ordered weights (GEMM ~20% faster)
-        s, off = _gate_scale(hs, params.input_activation, dt)
-        self.s, self.off = (np.tile(v, (window, 1)) for v in (s, off))
-        # per layer: the state columns [lo, hi) of its [input | h], its fused [in_l + h, 4h] weights, its bias
+        self.s, self.off = _gate_scale(hs, params.input_activation, dt, window)
+        # per layer: the state columns [lo, hi) of its [input | h], its fused [in_l + h, 4h] weights (C-ordered:
+        # GEMM ~20% faster), its full [w, 4h] bias
         self.layers = [(n_in + (li - 1) * hs if li else 0, n_in + (li + 1) * hs,
-                        np.ascontiguousarray(np.hstack([l.wx, l.wh]).T * s), np.tile(l.b * s, (window, 1)))
+                        np.ascontiguousarray(np.hstack([l.wx, l.wh]).T * self.s[0]),
+                        np.tile(l.b * self.s[0], (window, 1)))
                        for li, l in enumerate(params.layers)]
         self.state = np.zeros((window, n_in + len(params.layers) * hs), dtype=dt)
         self.cells = np.zeros((len(params.layers), window, hs), dtype=dt)
@@ -381,12 +384,14 @@ def loss_grad(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
 
 
 def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
-    """Exact gradients of the batch loss w.r.t. every parameter."""
+    """Exact gradients of the batch loss w.r.t. every parameter; consumes the tape (see `Tape`)."""
+    if tape.consumed:
+        raise RuntimeError("backward already consumed this tape; run forward again")
+    tape.consumed = True
     params = tape.params
     dy = loss_grad(tape.y_hat, y, spec)  # [B, out]
 
-    act_name = params.input_activation
-    hs = params.hidden_size
+    hs, act_name, dt = params.hidden_size, params.input_activation, params.dtype
     gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
     g_dense_w = dy.T @ tape.layer_tapes[-1].h[-1]
     g_dense_b = dy.sum(axis=0)
@@ -395,23 +400,19 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     grads_layers: list[LayerParams | None] = [None] * len(params.layers)
     d_ext: np.ndarray | None = None  # [w, B, h] gradient w.r.t. this layer's output sequence
     w, B, _ = tape.layer_tapes[0].h.shape
-    bufs, dt = tape.buffers, params.dtype  # scratch outside the tape, so backward can run twice on one tape
-    # gradients w.r.t. the gate pre-activations (one buffer for every layer) and act(c) of the current step
-    dgx, ca = bufs.take("dgx", (w, B, 4 * hs), dt), bufs.take("ca", (B, hs), dt)
+    bufs = tape.buffers
+    up, sg = bufs.take("up_sg", (2, B, 4 * hs), dt)  # upstream gradient of each gate; σ' of the block
+    ca, dh, dc = step = bufs.take("step", (3, B, hs), dt)  # act(c); gradients w.r.t. h and c
 
     for li in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[li]
-        lt = tape.layer_tapes[li]
+        layer, lt = params.layers[li], tape.layer_tapes[li]
         A, C = lt.a, lt.c
-        dh = np.zeros((B, hs), dtype=params.dtype)
-        dc = np.zeros_like(dh)
-        up = np.empty((B, 4 * hs), dtype=params.dtype)  # upstream gradient of each gate
+        step.fill(0.0)
         for t in range(w - 1, -1, -1):
             if d_ext is not None:
                 dh += d_ext[t]
             elif t == w - 1:
                 dh += d_ext_final
-            dgates = dgx[t]
             a = A[t]
             _act(act_name, C[t], out=ca)
             dc += _act_deriv_from_value(act_name, ca) * a[:, go] * dh
@@ -419,23 +420,22 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
             np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
             np.multiply(dc, a[:, gi], out=up[:, gg])
             np.multiply(dh, ca, out=up[:, go])
-            # σ' = a(1 - a) on the whole block, then the candidate's own derivative
-            np.subtract(1.0, a, out=dgates)
-            dgates *= a
-            if act_name != "sigmoid":
-                dgates[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
-            dgates *= up
             dc *= a[:, gf]
-            np.matmul(dgates, layer.wh, out=dh)
-        flat_x = lt.inputs.reshape(w * B, -1)
-        flat_dgx = dgx.reshape(w * B, -1)
-        g_wx = flat_dgx.T @ flat_x
+            # σ' = a(1 - a) on the whole block, then the candidate's own derivative
+            np.subtract(1.0, a, out=sg)
+            sg *= a
+            if act_name != "sigmoid":
+                sg[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
+            np.multiply(sg, up, out=a)  # step t's gate gradient replaces its gates, read for the last time
+            np.matmul(a, layer.wh, out=dh)
+        flat_dgx = A.reshape(w * B, -1)
+        g_wx = flat_dgx.T @ lt.inputs.reshape(w * B, -1)
         # the state before step 0 is zero, so step 0 adds nothing to g_wh
         g_wh = flat_dgx[B:].T @ lt.h[:-1].reshape((w - 1) * B, hs)
         g_b = flat_dgx.sum(axis=0)
         grads_layers[li] = LayerParams(g_wx, g_wh, g_b)
-        if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below
-            d_ext = np.matmul(flat_dgx, layer.wx, out=bufs.take("dx", (w * B, hs), dt)).reshape(w, B, hs)
+        if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below; C is dead now
+            d_ext = np.matmul(flat_dgx, layer.wx, out=C.reshape(w * B, hs)).reshape(w, B, hs)
 
     return NetworkParams(
         layers=grads_layers,

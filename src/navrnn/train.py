@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +39,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, ints={"epochs": 0, "batch_size": 1, "shuffle_seed": 0, "early_stop_patience": None})
-        self.lr_schedule = tuple((int(e), float(lr)) for e, lr in self.lr_schedule)
+        entries = [SimpleNamespace(lr_schedule_epoch=e, lr_schedule_rate=lr) for e, lr in self.lr_schedule]
+        for entry in entries:
+            check_fields(entry, ints={"lr_schedule_epoch": 0}, floats={"lr_schedule_rate": 0})
+        self.lr_schedule = tuple((int(e.lr_schedule_epoch), float(e.lr_schedule_rate)) for e in entries)
         starts = [e for e, _ in self.lr_schedule]
         if not starts:
             raise ConfigError("lr_schedule must not be empty")

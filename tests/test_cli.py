@@ -325,6 +325,12 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("synth", lambda root: {"flights": [{"duration_s": float("nan")}]}),
         ("synth", lambda root: {"flights": [{"ground_time_s": float("nan")}]}),
         ("synth", lambda root: {"flights": [{"rates_hz": {"imu": float("inf")}}]}),
+        ("eval", lambda root: {**_model_inputs(root), "trim": {"hold_s": float("nan")}}),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "min_duration_s": float("nan")}),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "max_gap_s": float("inf")}),
+        ("eval", lambda root: {**_model_inputs(root), "trim": {"vel_thresh_mps": -1.0}}),
+        ("train", lambda root: _train_inputs(root, train={"lr_schedule": [[0, 0.01], [2.5, 0.001]]})),
+        ("train", lambda root: _train_inputs(root, train={"lr_schedule": [[0, float("nan")]]})),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -347,13 +353,20 @@ def _stream_inputs(root: Path, **fields) -> dict:
         "synth_nan_duration",
         "synth_nan_ground_time",
         "synth_infinite_imu_rate",
+        "eval_nan_hold_s",
+        "preprocess_nan_min_duration",
+        "preprocess_infinite_max_gap",
+        "eval_negative_vel_thresh",
+        "train_fractional_lr_schedule_epoch",
+        "train_nan_lr_schedule_rate",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
     cfg = _write_config(tmp_path / "cfg.json", config(tiny_pipeline))
     capsys.readouterr()
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind, code", [("mae", 0), ("bogus", 1)])

@@ -340,12 +340,26 @@ class TestBackward:
         w1 = np.ones(6)
         w2 = np.ones(6)
         w2[2] = 2.0
-        _, tape = forward(params, x)
-        g1 = backward(tape, y, LossSpec(kind="weighted_mae", weights=w1))
-        g2 = backward(tape, y, LossSpec(kind="weighted_mae", weights=w2))
+        # backward consumes its tape, so each gradient gets its own forward
+        g1 = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=w1))
+        g2 = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=w2))
         # only the dense row feeding signal 2 doubles
         np.testing.assert_allclose(g2.dense.w[2], 2.0 * g1.dense.w[2], rtol=1e-12)
         np.testing.assert_allclose(g2.dense.w[0], g1.dense.w[0], rtol=1e-12)
+        # doubling every weight doubles every gradient, layers included, exactly (scaling by 2 is exact)
+        g_all = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=2.0 * w1))
+        for (name, g), (_, ref) in zip(g_all.arrays(), g1.arrays()):
+            np.testing.assert_array_equal(g, 2.0 * ref, err_msg=name)
+
+    def test_second_backward_on_a_tape_raises(self):
+        params = init_params(NetworkConfig(recurrent_layers=2, hidden_size=8), seed=0)
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((3, 5, 11)), rng.standard_normal((3, 6))
+        spec = LossSpec(kind="mae")
+        _, tape = forward(params, x)
+        backward(tape, y, spec)
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(tape, y, spec)
 
 
 class TestBuffers:
