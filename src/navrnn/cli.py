@@ -13,12 +13,11 @@ import logging
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
-from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError, check_fields
+from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError
 from .flightlog import read_flight_log, read_json_object, write_json, write_table
 
 log = logging.getLogger("navrnn")
@@ -120,29 +119,14 @@ def cmd_synth(args) -> int:
 
 
 def _cleanup_options(config: dict) -> dict:
-    """detect_corrupted keyword arguments from a preprocess or eval config,
-    each a finite number >= 0."""
+    """clean_log keyword arguments from a preprocess or eval config; clean_log checks their values."""
     trim = _get(config, "trim", dict, {})
-    options = {
+    return {
         "max_gap_s": _get(config, "max_gap_s", float, 1.0),
         "min_duration_s": _get(config, "min_duration_s", float, 60.0),
         "vel_thresh_mps": _get(trim, "vel_thresh_mps", float, 0.5),
         "hold_s": _get(trim, "hold_s", float, 1.0),
     }
-    check_fields(SimpleNamespace(**options), floats=dict.fromkeys(options, 0))
-    return options
-
-
-def _clean_logs(manifest: synth.DatasetManifest, options: dict):
-    """Run cleanup on every log; returns (kept entries+logs, verdicts)."""
-    kept = []
-    verdicts = []
-    for entry in manifest.logs:
-        verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, **options)
-        verdicts.append(verdict)
-        if verdict.accepted:
-            kept.append((entry, verdict.trimmed))
-    return kept, verdicts
 
 
 def cmd_preprocess(args) -> int:
@@ -157,7 +141,10 @@ def cmd_preprocess(args) -> int:
     val_fraction = _get(config, "val_fraction", float, 0.15)
     trim = _get(config, "trim", dict, {})
 
-    kept, verdicts = _clean_logs(manifest, _cleanup_options(config))
+    cleanup = _cleanup_options(config)
+    verdicts = [preprocess.clean_log(manifest.log_path(e), e.log_id, **cleanup) for e in manifest.logs]
+    kept = [e for e, v in zip(manifest.logs, verdicts) if v.accepted]
+    trimmed = {e.log_id: v.trimmed for e, v in zip(manifest.logs, verdicts) if v.accepted}
     write_json(
         {
             "input_count": len(manifest.logs),
@@ -169,9 +156,8 @@ def cmd_preprocess(args) -> int:
     if len(kept) < 2:
         raise DataError(f"only {len(kept)} usable logs after cleanup")
 
-    kept_manifest = synth.DatasetManifest(root=manifest.root, logs=[e for e, _ in kept])
+    kept_manifest = synth.DatasetManifest(root=manifest.root, logs=kept)
     train_entries, val_entries = preprocess.split_dataset(kept_manifest, val_fraction, seed)
-    trimmed = {e.log_id: flight for e, flight in kept}
     train_series = [preprocess.unify_rates(trimmed[e.log_id]) for e in train_entries]
     val_series = [preprocess.unify_rates(trimmed[e.log_id]) for e in val_entries]
 

@@ -21,10 +21,6 @@ class ConfigError(NavError):
     """Configuration values are inconsistent or out of range."""
 
 
-class NoTakeoffError(DataError):
-    """No sustained motion was found; the log never leaves the ground."""
-
-
 class EmptyBinError(DataError):
     """An averaging bin contains no inertial samples."""
 

@@ -8,7 +8,9 @@ class declares once, in COLUMNS; the CSV header and the named column views
 (gyro, accel, ...) follow from that declaration. Timestamps are integer
 microseconds from log start. On disk a log is a directory of four CSV
 files plus a JSON manifest; floats are written with 17 significant digits
-so the decimal round trip is bit exact.
+so the decimal round trip is bit exact. `read_manifest` and `read_stream`
+read one file each, for cleanup to stop at a rejection; `read_flight_log`
+reads all of them and checks every invariant.
 
 The same text codec serves every JSON and CSV file the toolkit reads or
 writes: `write_json`/`read_json_object` and `write_table`/`read_table`.
@@ -59,6 +61,7 @@ class _Stream:
     whose columns are the class's COLUMNS. Both are copied on construction,
     so no two streams share an array."""
 
+    NAME: ClassVar[str]
     COLUMNS: ClassVar[tuple[str, ...]]
 
     t_us: np.ndarray
@@ -81,10 +84,28 @@ class _Stream:
     def csv_header(cls) -> str:
         return ",".join(("t_us", *cls.COLUMNS))
 
+    def defects(self, max_gap_s: float | None = None) -> list[str]:
+        """One message per invariant of this stream alone that it violates:
+        non-empty, strictly increasing timestamps, finite values and, given
+        max_gap_s, no step between consecutive samples longer than that."""
+        if len(self) == 0:
+            return [f"{self.NAME} stream is empty"]
+        found = []
+        dt = np.diff(self.t_us)
+        if np.any(dt <= 0):
+            found.append(f"{self.NAME} timestamps are not strictly increasing")
+        if max_gap_s is not None and np.any(dt > max_gap_s * 1e6):
+            found.append(f"{self.NAME} stream has a gap of {dt.max() * 1e-6:g} s (limit {max_gap_s:g} s)")
+        n_bad = np.count_nonzero(~np.isfinite(self.values))
+        if n_bad:
+            found.append(f"{self.NAME} stream has {n_bad} non-finite value(s)")
+        return found
+
 
 class ImuStream(_Stream):
     """Gyro (rad/s) and accelerometer (m/s^2, specific force) in body frame."""
 
+    NAME = "imu"
     COLUMNS = ("gx", "gy", "gz", "ax", "ay", "az")
     gyro = _view(0, 3)
     accel = _view(3, 6)
@@ -93,6 +114,7 @@ class ImuStream(_Stream):
 class BaroStream(_Stream):
     """Barometer temperature (degC) and pressure altitude (m)."""
 
+    NAME = "baro"
     COLUMNS = ("temp_c", "alt_m")
     temp_c = _view(0)
     alt_m = _view(1)
@@ -101,6 +123,7 @@ class BaroStream(_Stream):
 class MagStream(_Stream):
     """Magnetic field components (gauss) in body frame."""
 
+    NAME = "mag"
     COLUMNS = ("mx", "my", "mz")
     mag = _view(0, 3)
 
@@ -108,14 +131,30 @@ class MagStream(_Stream):
 class EkfStream(_Stream):
     """Estimator output: unit quaternion, NED velocity (m/s), NED position (m)."""
 
+    NAME = "ekf"
     COLUMNS = ("q1", "q2", "q3", "q4", "vn", "ve", "vd", "pn", "pe", "pd")
     quat = _view(0, 4)
     vel_ned = _view(4, 7)
     pos_ned = _view(7, 10)
 
+    def defects(self, max_gap_s: float | None = None) -> list[str]:
+        """The stream invariants, then unit quaternion norms (a non-finite norm is a violation)."""
+        found = super().defects(max_gap_s)
+        unit = np.abs(np.linalg.norm(self.quat, axis=1) - 1.0) <= QUAT_NORM_TOL
+        if not unit.all():
+            found.append(f"ekf quaternions are not unit norm in {np.count_nonzero(~unit)} row(s)")
+        return found
+
 
 # a log's streams, in file and field order
-STREAMS = {"imu": ImuStream, "baro": BaroStream, "mag": MagStream, "ekf": EkfStream}
+STREAMS = {cls.NAME: cls for cls in (ImuStream, BaroStream, MagStream, EkfStream)}
+
+
+def _check_labels(fields: dict) -> None:
+    """ValidationError unless a log's fields name a known vehicle_type and source."""
+    for key, known in (("vehicle_type", VEHICLE_TYPES), ("source", SOURCES)):
+        if fields[key] not in known:
+            raise ValidationError(f"unknown {key} {fields[key]!r}")
 
 
 @dataclass
@@ -132,17 +171,7 @@ class FlightLog:
     home_lat_deg: float | None = None
 
     def __post_init__(self):
-        if self.vehicle_type not in VEHICLE_TYPES:
-            raise ValidationError(f"unknown vehicle_type {self.vehicle_type!r}")
-        if self.source not in SOURCES:
-            raise ValidationError(f"unknown source {self.source!r}")
-
-    @property
-    def duration_s(self) -> float:
-        """Span of the EKF stream in seconds (0 for an empty stream)."""
-        if len(self.ekf) == 0:
-            return 0.0
-        return float(self.ekf.t_us[-1] - self.ekf.t_us[0]) * 1e-6
+        _check_labels(vars(self))
 
     def streams(self):
         return tuple((name, getattr(self, name)) for name in STREAMS)
@@ -150,34 +179,18 @@ class FlightLog:
     def defects(self, max_gap_s: float | None = None) -> list[str]:
         """Every invariant the log violates, one message per defect.
 
-        This is the one implementation of the log invariants: non-empty
-        streams, strictly increasing timestamps, finite values, unit
-        quaternion norms (a non-finite norm is a violation), overlapping
-        stream time ranges and, when max_gap_s is given, no step between
-        consecutive samples longer than max_gap_s. An empty list means the
-        log is sound.
+        This is the one implementation of the log invariants: each stream's
+        own (`_Stream.defects`, with the estimator's quaternion norms), then
+        overlapping stream time ranges. An empty list means the log is sound.
         """
-        found = []
-        for name, stream in self.streams():
-            if len(stream) == 0:
-                found.append(f"{name} stream is empty")
-                continue
-            dt = np.diff(stream.t_us)
-            if np.any(dt <= 0):
-                found.append(f"{name} timestamps are not strictly increasing")
-            if max_gap_s is not None and np.any(dt > max_gap_s * 1e6):
-                found.append(f"{name} stream has a gap of {dt.max() * 1e-6:g} s (limit {max_gap_s:g} s)")
-            n_bad = np.count_nonzero(~np.isfinite(stream.values))
-            if n_bad:
-                found.append(f"{name} stream has {n_bad} non-finite value(s)")
-        if len(self.ekf):
-            unit = np.abs(np.linalg.norm(self.ekf.quat, axis=1) - 1.0) <= QUAT_NORM_TOL
-            if not unit.all():
-                found.append(f"ekf quaternions are not unit norm in {np.count_nonzero(~unit)} row(s)")
-        if all(len(s) for _, s in self.streams()):
-            if max(s.t_us[0] for _, s in self.streams()) > min(s.t_us[-1] for _, s in self.streams()):
-                found.append("stream time ranges do not overlap")
-        return found
+        return [d for _, stream in self.streams() for d in stream.defects(max_gap_s)] + self.overlap_defects()
+
+    def overlap_defects(self) -> list[str]:
+        """The time ranges of the streams must overlap; not checked while one is empty."""
+        streams = [stream for _, stream in self.streams()]
+        if all(map(len, streams)) and max(s.t_us[0] for s in streams) > min(s.t_us[-1] for s in streams):
+            return ["stream time ranges do not overlap"]
+        return []
 
     def check(self) -> None:
         """Raise ValidationError naming every defect `defects()` finds; no gap limit."""
@@ -318,19 +331,31 @@ def write_flight_log(log: FlightLog, path: str | Path) -> None:
         write_table(root / f"{name}.csv", stream.csv_header(), stream.t_us, stream.values)
 
 
-def read_flight_log(path: str | Path) -> FlightLog:
-    """Read a log directory; all invariants are re-checked on load."""
+def read_manifest(path: str | Path) -> dict:
+    """A log directory's FlightLog fields other than its streams, from its
+    manifest.json; a missing or malformed manifest, another schema version or
+    an unknown vehicle type or source raises DataError or ValidationError."""
     root = Path(path)
     manifest = read_json_object(root / "manifest.json")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    log = FlightLog(
-        log_id=str(manifest.get("log_id", root.name)),
-        vehicle_type=str(manifest.get("vehicle_type", "unknown")),
-        source=str(manifest.get("source", "recorded")),
-        home_lat_deg=manifest.get("home_lat_deg"),
-        **{name: cls(*read_table(root / f"{name}.csv", cls.csv_header())) for name, cls in STREAMS.items()},
-    )
+    defaults = {"log_id": root.name, "vehicle_type": "unknown", "source": "recorded"}
+    fields = {key: str(manifest.get(key, default)) for key, default in defaults.items()}
+    fields["home_lat_deg"] = manifest.get("home_lat_deg")
+    _check_labels(fields)
+    return fields
+
+
+def read_stream(path: str | Path, name: str) -> _Stream:
+    """Read the named stream of a log directory, unchecked; a missing or
+    malformed CSV raises DataError."""
+    cls = STREAMS[name]
+    return cls(*read_table(Path(path) / f"{name}.csv", cls.csv_header()))
+
+
+def read_flight_log(path: str | Path) -> FlightLog:
+    """Read a log directory; all invariants are re-checked on load."""
+    log = FlightLog(**read_manifest(path), **{name: read_stream(path, name) for name in STREAMS})
     log.check()
     return log

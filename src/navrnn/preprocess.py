@@ -3,13 +3,22 @@
 Sensor streams are averaged between consecutive estimator outputs to unify
 all rates to the 5 Hz label rate; barometric altitude is differenced and
 temperature passed through; labels are per-step increments of the estimator
-state. Ground time is trimmed with a velocity-hysteresis detector. The
-cleanup verdict (clean_log, detect_corrupted) is decided here alone: a log
-that cannot be read, has a defect, never takes off or is too short is
-rejected with a reason. Fixed-length windows with z-scored features feed
-the network; `build_dataset` is the only code that cuts them, and the NAVW
-windows file goes through flightlog's binary codec. Raw measurements are
-never filtered.
+state. Ground time is trimmed with a velocity-hysteresis detector. Fixed-
+length windows with z-scored features feed the network; `build_dataset` is
+the only code that cuts them, and the NAVW windows file goes through
+flightlog's binary codec. Raw measurements are never filtered.
+
+The cleanup verdict is decided here alone, by one staged check shared by
+`clean_log` (a log directory) and `detect_corrupted` (a log in memory). It
+stops at the first rejection, so a rejected log's later files are never read:
+(1) manifest.json, then ekf.csv and the estimator's own invariants; (2)
+takeoff and landing from the estimator alone (`no_takeoff`), then the
+post-trim duration (`too_short`); (3) baro.csv, mag.csv and imu.csv, smallest
+first, each checked on its own as it is read; (4) the overlap of the streams,
+then acceptance with the crop to [takeoff, landing]. An unreadable file or a
+failed invariant is `validation_defects`. So a log with an estimator problem
+and a sensor problem reports the estimator one, and the WARNING line of a
+rejected log lists only the defects of the first stream that fails.
 """
 
 from __future__ import annotations
@@ -17,13 +26,15 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
-from .flightlog import (STREAMS, FlightLog, read_binary, read_flight_log, read_json_object, split_payload,
-                        write_binary, write_json)
+from .errors import ConfigError, DataError, EmptyBinError, ValidationError, check_fields
+from .flightlog import (STREAMS, EkfStream, FlightLog, read_binary, read_json_object, read_manifest, read_stream,
+                        split_payload, write_binary, write_json)
 from .synth import DatasetManifest, LogEntry
 
 logger = logging.getLogger(__name__)
@@ -181,40 +192,20 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
     )
 
 
-def trim_ground_time(log: FlightLog, vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> FlightLog:
-    """Crop a log to [takeoff, landing].
-
-    Takeoff is the first estimator sample whose velocity norm stays above
-    vel_thresh_mps for hold_s; landing is the end of the last such stretch.
-    Raises NoTakeoffError when no sustained motion exists.
-    """
-    if len(log.ekf) == 0:
-        raise DataError("ekf stream is empty")
-    speed = np.linalg.norm(log.ekf.vel_ned, axis=1)
-    moving = speed > vel_thresh_mps
-    dt_med = float(np.median(np.diff(log.ekf.t_us))) * 1e-6 if len(log.ekf) > 1 else 0.2
-    hold_n = max(1, int(round(hold_s / max(dt_med, 1e-6))))
-
-    sustained_starts = []
-    sustained_ends = []
-    i = 0
-    n = len(moving)
-    while i < n:
-        if moving[i]:
-            j = i
-            while j < n and moving[j]:
-                j += 1
-            if j - i >= hold_n:
-                sustained_starts.append(i)
-                sustained_ends.append(j - 1)
-            i = j
-        else:
-            i += 1
-    if not sustained_starts:
-        raise NoTakeoffError(f"{log.log_id}: no sustained motion above {vel_thresh_mps} m/s")
-    t_takeoff = int(log.ekf.t_us[sustained_starts[0]])
-    t_landing = int(log.ekf.t_us[sustained_ends[-1]])
-    return log.crop(t_takeoff, t_landing)
+def flight_span(ekf: EkfStream, vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> tuple[int, int] | None:
+    """Ground-time trimming: the takeoff and landing times (us) of an
+    estimator stream, or None when it never takes off. Takeoff is the first
+    sample whose velocity norm stays above vel_thresh_mps for hold_s; landing
+    is the end of the last such stretch."""
+    moving = (np.linalg.norm(ekf.vel_ned, axis=1) > vel_thresh_mps).astype(np.int8)
+    dt_med = float(np.median(np.diff(ekf.t_us))) * 1e-6 if len(ekf) > 1 else 0.2
+    hold_n = max(1, int(round(min(hold_s / max(dt_med, 1e-6), len(ekf) + 1))))  # no overflow for a huge hold_s
+    step = np.diff(moving, prepend=0, append=0)
+    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # runs of motion [start, stop)
+    sustained = stops - starts >= hold_n
+    if not sustained.any():
+        return None
+    return int(ekf.t_us[starts[sustained][0]]), int(ekf.t_us[stops[sustained][-1] - 1])
 
 
 @dataclass
@@ -226,57 +217,57 @@ class CleanupVerdict:
     trimmed: FlightLog | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "log_id": self.log_id,
-            "accepted": self.accepted,
-            "reasons": list(self.reasons),
-            "post_trim_duration_s": self.post_trim_duration_s,
-        }
+        return {key: value for key, value in vars(self).items() if key != "trimmed"}
 
 
-def detect_corrupted(
-    log: FlightLog,
-    max_gap_s: float = 1.0,
-    min_duration_s: float = 60.0,
-    vel_thresh_mps: float = 0.5,
-    hold_s: float = 1.0,
-) -> CleanupVerdict:
-    """Decide whether a log is usable; never raises. A rejected log is logged
-    once, at WARNING, with its reason.
-
-    Rejection reasons: validation defects (any defect FlightLog.defects
-    finds, with max_gap_s as its gap limit), no takeoff, or a post-trim
-    duration below min_duration_s. The trimmed log is attached when the
-    verdict is positive.
-    """
-    verdict = CleanupVerdict(log_id=log.log_id, accepted=False)
-    defects = log.defects(max_gap_s)
-    if defects:
-        return _reject(verdict, "validation_defects", "; ".join(defects))
-    try:
-        trimmed = trim_ground_time(log, vel_thresh_mps=vel_thresh_mps, hold_s=hold_s)
-    except NoTakeoffError:
-        return _reject(verdict, "no_takeoff", f"no sustained motion above {vel_thresh_mps:g} m/s")
-    verdict.post_trim_duration_s = trimmed.duration_s
-    if trimmed.duration_s < min_duration_s:
-        return _reject(verdict, "too_short", f"{trimmed.duration_s:g} s after trimming (minimum {min_duration_s:g} s)")
-    verdict.accepted = True
-    verdict.trimmed = trimmed
-    return verdict
+def detect_corrupted(log: FlightLog, max_gap_s: float = 1.0, min_duration_s: float = 60.0,
+                     vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> CleanupVerdict:
+    """The cleanup verdict on a log in memory, in the module docstring's order.
+    Raises only ConfigError, for an option that is not a finite number >= 0; a
+    rejected log gets one WARNING line naming its reason."""
+    return _judge(log.log_id, lambda: vars(log), partial(getattr, log),
+                  max_gap_s, min_duration_s, vel_thresh_mps, hold_s)
 
 
 def clean_log(path: str | Path, log_id: str, **options) -> CleanupVerdict:
-    """Read one log directory and run detect_corrupted(log, **options) on it.
+    """detect_corrupted's verdict on a log directory, reading each file only
+    while the log can still be accepted; an unreadable file rejects the log."""
+    return _judge(log_id, partial(read_manifest, path), partial(read_stream, path), **options)
 
-    A log that cannot be read (missing or malformed files) or fails its
-    invariant checks on load is rejected as validation_defects, like a log
-    detect_corrupted finds defects in, so one bad log never ends a corpus.
-    """
+
+def _judge(log_id, head, stream, max_gap_s=1.0, min_duration_s=60.0, vel_thresh_mps=0.5, hold_s=1.0):
+    """The one cleanup verdict, over head() (the log's FlightLog fields) and stream(name)."""
+    options = SimpleNamespace(max_gap_s=max_gap_s, min_duration_s=min_duration_s, vel_thresh_mps=vel_thresh_mps,
+                              hold_s=hold_s)
+    check_fields(options, floats=dict.fromkeys(vars(options), 0))
+    verdict = CleanupVerdict(log_id=log_id, accepted=False)
+
+    def checked(name):
+        data = stream(name)
+        if found := data.defects(max_gap_s):
+            raise ValidationError("; ".join(found))
+        return data
+
     try:
-        flight = read_flight_log(path)
+        fields = head()
+        verdict.log_id = fields["log_id"]
+        ekf = checked("ekf")
+        span = flight_span(ekf, vel_thresh_mps, hold_s)
+        if span is None:
+            return _reject(verdict, "no_takeoff", f"no sustained motion above {vel_thresh_mps:g} m/s")
+        duration = float(span[1] - span[0]) * 1e-6
+        if duration < min_duration_s:
+            verdict.post_trim_duration_s = duration
+            return _reject(verdict, "too_short", f"{duration:g} s after trimming (minimum {min_duration_s:g} s)")
+        log = FlightLog(**{**fields, "ekf": ekf, **{name: checked(name) for name in ("baro", "mag", "imu")}})
+        if found := log.overlap_defects():
+            raise ValidationError("; ".join(found))
     except (DataError, ValidationError) as exc:
-        return _reject(CleanupVerdict(log_id=log_id, accepted=False), "validation_defects", str(exc))
-    return detect_corrupted(flight, **options)
+        return _reject(verdict, "validation_defects", str(exc))
+    verdict.accepted = True
+    verdict.post_trim_duration_s = duration
+    verdict.trimmed = log.crop(*span)
+    return verdict
 
 
 def _reject(verdict: CleanupVerdict, reason: str, detail: str) -> CleanupVerdict:

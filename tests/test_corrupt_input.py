@@ -1,6 +1,6 @@
 """Fuzz the file readers: one flipped byte or a truncation of any file must
 end as a loaded object or the reader's own error category (exit code 2),
-never as another exception."""
+never as another exception; cleanup must end as a verdict."""
 
 import json
 import struct
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from navrnn.cli import main
 from navrnn.errors import CheckpointError, DataError, ValidationError
-from navrnn.flightlog import read_flight_log, write_flight_log
-from navrnn.preprocess import build_dataset, load_windows, save_windows, unify_rates
+from navrnn.flightlog import read_flight_log, read_manifest, read_stream, write_flight_log
+from navrnn.preprocess import build_dataset, clean_log, load_windows, save_windows, unify_rates
 from navrnn.rnn import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 
@@ -74,6 +74,38 @@ def test_pristine_files_load(pristine):
 def test_corrupt_log_file(pristine, name, corruption):
     work = _rewrite(pristine / "log", pristine / "work_log", LOG_FILES, name, corruption)
     _read_or_raise(read_flight_log, work, (DataError, ValidationError))
+
+
+@pytest.fixture(scope="module")
+def flying(tmp_path_factory):
+    """A short flight that cleanup accepts, so that it reads every file of the log."""
+    root = tmp_path_factory.mktemp("flying")
+    cfg = SynthConfig(duration_s=2.0, profile="circle", seed=3, ground_time_s=0.5, noise=NoiseConfig.low_cost())
+    write_flight_log(generate_flight(cfg), root / "log")
+    assert clean_log(root / "log", "log", min_duration_s=0.0).accepted
+    return root
+
+
+def _sound(log_dir, name) -> bool:
+    """Whether the named file still reads, and a stream file passes its own checks."""
+    try:
+        if name == "manifest.json":
+            read_manifest(log_dir)
+            return True
+        return not read_stream(log_dir, name.removesuffix(".csv")).defects(max_gap_s=1.0)
+    except (DataError, ValidationError):
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(LOG_FILES), corruption=corruptions)
+def test_corrupt_log_file_cleanup(flying, name, corruption):
+    # cleanup never raises on a corrupted file, and rejects a log whose corrupted file is unreadable or unsound
+    work = _rewrite(flying / "log", flying / "work_log", LOG_FILES, name, corruption)
+    verdict = clean_log(work, "log", min_duration_s=0.0)
+    if not _sound(work, name):
+        assert verdict.reasons == ["validation_defects"]
+        assert verdict.post_trim_duration_s is None
 
 
 @settings(max_examples=150, deadline=None)

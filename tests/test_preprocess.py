@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navrnn.errors import ConfigError, DataError, EmptyBinError, NoTakeoffError, ValidationError
+from navrnn.errors import ConfigError, DataError, EmptyBinError, ValidationError
+from navrnn import flightlog
 from navrnn.flightlog import (
     BaroStream,
     EkfStream,
@@ -19,12 +20,13 @@ from navrnn.preprocess import (
     FeatureAssembler,
     Normalization,
     build_dataset,
+    clean_log,
     compute_signal_weights,
     detect_corrupted,
+    flight_span,
     load_windows,
     save_windows,
     split_dataset,
-    trim_ground_time,
     unify_rates,
 )
 from navrnn.synth import DatasetManifest, LogEntry, SynthConfig, generate_flight
@@ -203,11 +205,41 @@ class TestDifference:
         np.testing.assert_allclose(rebuilt, x, atol=1e-12)
 
 
+def _trim(log, **options):
+    """The log cropped to its flight span, as cleanup crops an accepted log."""
+    return log.crop(*flight_span(log.ekf, **options))
+
+
+def _span_by_loop(ekf, vel_thresh_mps, hold_s):
+    """The run-scanning loop flight_span replaced, kept as its reference."""
+    moving = np.linalg.norm(ekf.vel_ned, axis=1) > vel_thresh_mps
+    dt_med = float(np.median(np.diff(ekf.t_us))) * 1e-6 if len(ekf) > 1 else 0.2
+    hold_n = max(1, int(round(hold_s / max(dt_med, 1e-6))))
+    runs, i = [], 0
+    while i < len(moving):
+        j = i
+        while j < len(moving) and moving[j]:
+            j += 1
+        if j - i >= hold_n:
+            runs.append((i, j - 1))
+        i = max(j, i + 1)
+    return (int(ekf.t_us[runs[0][0]]), int(ekf.t_us[runs[-1][1]])) if runs else None
+
+
 class TestTrim:
+    @settings(max_examples=200, deadline=None)
+    @given(moving=st.lists(st.booleans(), min_size=1, max_size=40), hold_s=st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]))
+    def test_flight_span_matches_loop(self, moving, hold_s):
+        values = np.zeros((len(moving), 10))
+        values[:, 0] = 1.0  # unit quaternion
+        values[moving, 4:6] = 0.4  # 0.57 m/s north-east while moving, at rest otherwise
+        ekf = EkfStream(np.arange(len(moving), dtype=np.int64) * 200_000, values)
+        assert flight_span(ekf, 0.5, hold_s) == _span_by_loop(ekf, 0.5, hold_s)
+
     def test_trim_matches_generator_truth(self):
         cfg = SynthConfig(duration_s=60.0, profile="circle", seed=2, ground_time_s=30.0, ground_drift_mps=0.1)
         log = generate_flight(cfg)
-        trimmed = trim_ground_time(log)
+        trimmed = _trim(log)
         assert abs(trimmed.ekf.t_us[0] * 1e-6 - 30.0) < 2.0
         assert abs(trimmed.ekf.t_us[-1] * 1e-6 - 90.0) < 2.0
 
@@ -215,7 +247,7 @@ class TestTrim:
         log = generate_flight(SynthConfig(duration_s=40.0, profile="circle", seed=1))
         # warp means the first/last samples are at rest; crop those edges off first
         core = log.crop(5_000_000, 35_000_000)
-        trimmed = trim_ground_time(core, vel_thresh_mps=0.1)
+        trimmed = _trim(core, vel_thresh_mps=0.1)
         assert np.array_equal(trimmed.ekf.t_us, core.ekf.t_us)
         assert np.array_equal(trimmed.imu.t_us, core.imu.t_us)
 
@@ -223,13 +255,12 @@ class TestTrim:
         cfg = SynthConfig(duration_s=1200.0, profile="survey_lawnmower", seed=0, ground_time_s=300.0,
                           ground_drift_mps=0.08)
         log = generate_flight(cfg)
-        trimmed = trim_ground_time(log)
-        assert abs(trimmed.duration_s - 1200.0) < 30.0
+        trimmed = _trim(log)
+        assert abs((trimmed.ekf.t_us[-1] - trimmed.ekf.t_us[0]) * 1e-6 - 1200.0) < 30.0
 
     def test_no_takeoff(self):
         log = generate_flight(SynthConfig(duration_s=30.0, profile="hover", seed=0, ground_drift_mps=0.05))
-        with pytest.raises(NoTakeoffError):
-            trim_ground_time(log)
+        assert flight_span(log.ekf) is None
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +306,31 @@ DEFECTS = {
 }
 
 
+def _mag_gap(log):
+    # a 1.25 s magnetometer gap: the reader loads it, cleanup's 1 s limit rejects it
+    m = log.mag
+    t_mid = m.t_us[len(m) // 2]
+    keep = (m.t_us <= t_mid) | (m.t_us >= t_mid + 1_250_000)
+    return replace(log, mag=MagStream(m.t_us[keep], m.values[keep]))
+
+
+# every log the verdict-equivalence test writes to disk and judges both ways
+VERDICT_CASES = {
+    **DEFECTS,
+    "gap": _mag_gap,
+    "clean": lambda log: log,
+    "hover": lambda _: generate_flight(SynthConfig(duration_s=90.0, profile="hover", seed=4, ground_drift_mps=0.05)),
+    "short": lambda _: generate_flight(SynthConfig(duration_s=30.0, profile="circle", seed=4)),
+}
+
+
+def _write_unchecked(log, path, monkeypatch):
+    """write_flight_log without its invariant check, so defective logs reach the disk."""
+    with monkeypatch.context() as m:
+        m.setattr(FlightLog, "check", lambda self: None)
+        write_flight_log(log, path)
+
+
 class TestCleanup:
     def test_clean_flight_accepted(self):
         log = generate_flight(SynthConfig(duration_s=90.0, profile="survey_lawnmower", seed=4))
@@ -310,10 +366,7 @@ class TestCleanup:
     def test_gap_read_but_rejected_by_cleanup(self, airborne_log, tmp_path):
         # the reader applies no gap limit; cleanup's 1 s limit rejects a 1.25 s magnetometer gap
         assert detect_corrupted(airborne_log).accepted
-        m = airborne_log.mag
-        t_mid = m.t_us[len(m) // 2]
-        keep = (m.t_us <= t_mid) | (m.t_us >= t_mid + 1_250_000)
-        write_flight_log(replace(airborne_log, mag=MagStream(m.t_us[keep], m.values[keep])), tmp_path / "log")
+        write_flight_log(_mag_gap(airborne_log), tmp_path / "log")
         log = read_flight_log(tmp_path / "log")
         assert np.diff(log.mag.t_us).max() >= 1_250_000
         assert detect_corrupted(log).reasons == ["validation_defects"]
@@ -325,6 +378,59 @@ class TestCleanup:
         accepted = sum(v.accepted for v in verdicts)
         assert accepted <= len(logs)
         assert accepted == 2
+
+    @pytest.mark.parametrize("case", list(VERDICT_CASES))
+    def test_clean_log_matches_detect_corrupted(self, airborne_log, tmp_path, monkeypatch, case):
+        # clean_log reads the files lazily; detect_corrupted judges the whole log in memory
+        log = VERDICT_CASES[case](airborne_log)
+        _write_unchecked(log, tmp_path / "log", monkeypatch)
+        on_disk = clean_log(tmp_path / "log", log.log_id)
+        try:
+            in_memory = detect_corrupted(read_flight_log(tmp_path / "log"))
+        except ValidationError:  # the reader's own check refuses a defective log; judge the one written
+            assert case in DEFECTS
+            in_memory = detect_corrupted(log)
+        assert on_disk.to_dict() == in_memory.to_dict()
+        if on_disk.reasons == ["validation_defects"]:
+            assert on_disk.post_trim_duration_s is None
+        assert on_disk.accepted == (case == "clean")
+        if on_disk.accepted:
+            for name, stream in on_disk.trimmed.streams():
+                other = getattr(in_memory.trimmed, name)
+                assert np.array_equal(stream.t_us, other.t_us) and np.array_equal(stream.values, other.values)
+
+    @pytest.mark.parametrize("imu", ["missing", "garbage"])
+    @pytest.mark.parametrize("case, reason", [("hover", "no_takeoff"), ("short", "too_short")])
+    def test_rejected_on_estimator_before_imu_is_read(self, tmp_path, monkeypatch, imu, case, reason):
+        # the verdict stops at the estimator, so a bad imu.csv is never opened and never decides the reason
+        write_flight_log(VERDICT_CASES[case](None), tmp_path / "log")
+        imu_csv = tmp_path / "log" / "imu.csv"
+        if imu == "missing":
+            imu_csv.unlink()
+        else:
+            imu_csv.write_bytes(b"\xff not a table\n")
+        opened, read_table = [], flightlog.read_table
+
+        def spy(path, header):
+            opened.append(path.name)
+            return read_table(path, header)
+
+        monkeypatch.setattr(flightlog, "read_table", spy)
+        verdict = clean_log(tmp_path / "log", case)
+        assert verdict.reasons == [reason]
+        assert opened == ["ekf.csv"]
+
+    def test_huge_hold_time_finds_no_takeoff(self, airborne_log):
+        assert detect_corrupted(airborne_log, hold_s=1e308).reasons == ["no_takeoff"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("option", ["max_gap_s", "min_duration_s", "vel_thresh_mps", "hold_s"])
+    def test_bad_option_is_config_error(self, airborne_log, tmp_path, option, value):
+        # both entry points check the options before they read or judge anything
+        with pytest.raises(ConfigError, match=option):
+            detect_corrupted(airborne_log, **{option: value})
+        with pytest.raises(ConfigError, match=option):
+            clean_log(tmp_path / "no_such_log", "x", **{option: value})
 
 
 class TestWeights:

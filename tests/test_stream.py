@@ -43,7 +43,7 @@ class TestReplay:
         threads = replay(log, cfg, queues)
         for th in threads:
             th.join(timeout=30)
-        assert time.perf_counter() - t0 < 0.2 * log.duration_s
+        assert time.perf_counter() - t0 < 0.2 * (log.ekf.t_us[-1] - log.ekf.t_us[0]) * 1e-6
         seen = []
         while True:
             try:
