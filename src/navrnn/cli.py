@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
-from .errors import ConfigError, DataError, NavError, TrainingDivergedError, ValidationError
+from .errors import ConfigError, DataError, NavError, ValidationError
 from .flightlog import read_flight_log, read_json_object, write_json, write_table
 
 log = logging.getLogger("navrnn")
@@ -163,11 +163,9 @@ def cmd_preprocess(args) -> int:
 
     norm = preprocess.fit_normalization(train_series)
     weights = preprocess.compute_signal_weights(np.vstack([s.labels for s in train_series]))
-    period_ms = int(round(float(np.median(np.diff(train_series[0].t_us))) / 1000.0))
     provenance = {
         "dataset": str(manifest.root),
         "trim": trim,
-        "period_ms": period_ms,
         "seed": seed,
     }
     train_ds = preprocess.build_dataset(train_series, window, stride, norm, weights)
@@ -208,7 +206,7 @@ def cmd_train(args) -> int:
     transfer_from = _get(config, "transfer_from", str, "")
     if transfer_from:
         source = rnn.load_checkpoint(transfer_from)
-        params, report = train.transfer_fit(source, train_ds, val_ds, train_cfg)
+        params, report = train.fit(train_ds, val_ds, train_cfg, source.params, warm_start=True)
         net_cfg = source.config
     else:
         init = rnn.init_params(net_cfg, seed=init_seed)
@@ -342,8 +340,6 @@ def main(argv=None) -> int:
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not hasattr(args, "baseline"):
-        args.baseline = False
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -352,7 +348,7 @@ def main(argv=None) -> int:
     except (DataError, ValidationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergedError, NavError) as exc:
+    except NavError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -356,12 +356,16 @@ def build_dataset(
     one C-contiguous [M, window, f] float32 array. Normalization statistics
     and signal weights are computed from the given corpus when not provided,
     so compute them on the training corpus and pass them in for the
-    validation corpus.
+    validation corpus. The dataset's period_ms is the median row step of the
+    corpus, rounded to whole milliseconds.
     """
     if not series_list:
         raise DataError("empty series list")
     if window < 1 or stride < 1:
         raise ConfigError("window and stride must be >= 1")
+    period_ms = round(float(np.median(np.concatenate([np.diff(s.t_us) for s in series_list]))) / 1000.0)
+    if period_ms < 1:
+        raise DataError(f"series rows are {period_ms} ms apart; a period needs at least 1 ms")
     norm = normalization or fit_normalization(series_list)
     w = weights if weights is not None else compute_signal_weights(np.vstack([s.labels for s in series_list]))
     views, labels = [], []
@@ -381,6 +385,7 @@ def build_dataset(
         stride=stride,
         normalization=norm,
         source_logs=[s.log_id for s in series_list],
+        period_ms=period_ms,
     )
 
 
@@ -406,29 +411,34 @@ def split_dataset(
 
 
 def save_windows(dataset: WindowedDataset, path: str | Path, provenance: dict | None = None) -> None:
-    """Write windows.bin (binary) and a windows.json provenance sidecar."""
+    """Write windows.bin (binary) and its windows.json sidecar.
+
+    The sidecar holds the dataset's source_logs, stride and period_ms, the
+    fields `load_windows` reads from it, beside the caller's provenance
+    entries, which cannot override them.
+    """
     path = Path(path)
     m, w, f = dataset.windows.shape
     head = struct.pack(WINDOWS_HEAD, WINDOWS_VERSION, m, w, f, dataset.labels.shape[1])
     norm = dataset.normalization
     write_binary(path, WINDOWS_MAGIC, head, (dataset.windows, dataset.labels, dataset.weights, norm.mean, norm.std))
-    sidecar = {"source_logs": dataset.source_logs, "window": dataset.window_size, "stride": dataset.stride, "count": m}
-    write_json({**sidecar, **(provenance or {})}, path.with_suffix(".json"))
+    fields = {"source_logs": dataset.source_logs, "stride": dataset.stride, "period_ms": dataset.period_ms}
+    write_json({**(provenance or {}), **fields}, path.with_suffix(".json"))
 
 
 def load_windows(path: str | Path) -> WindowedDataset:
+    """The dataset `save_windows` wrote to path; a missing or malformed
+    windows file, sidecar or sidecar field raises DataError."""
     path = Path(path)
     (m, w, f, lab), payload = read_binary(path, WINDOWS_MAGIC, WINDOWS_HEAD, WINDOWS_VERSION, DataError)
     shapes = (("windows", (m, w, f)), ("labels", (m, lab)), ("weights", (lab,)), ("mean", (f,)), ("std", (f,)))
     arrays = split_payload(path, payload, shapes, DataError)
     sidecar_path = path.with_suffix(".json")
-    meta = read_json_object(sidecar_path) if sidecar_path.is_file() else {}
-    stride = meta.get("stride", 1)
-    period_ms = meta.get("period_ms", WindowedDataset.period_ms)
+    meta = read_json_object(sidecar_path)
+    stride, period_ms, source_logs = meta.get("stride"), meta.get("period_ms"), meta.get("source_logs")
     for key, value in (("stride", stride), ("period_ms", period_ms)):
         if type(value) is not int or value < 1:
             raise DataError(f"{sidecar_path}: {key} must be a positive integer, got {value!r}")
-    source_logs = meta.get("source_logs", [])
     if not isinstance(source_logs, list) or not all(isinstance(s, str) for s in source_logs):
         raise DataError(f"{sidecar_path}: source_logs must be a list of log ids")
     try:  # a value the dataclasses reject is bad file content, not bad configuration

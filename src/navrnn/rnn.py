@@ -20,6 +20,7 @@ backward recomputes act(c) one step at a time and writes its gradients over
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -494,44 +495,38 @@ class Checkpoint(NamedTuple):
     meta: dict
 
 
-REQUIRED_META = ("window", "feature_mean", "feature_std", "loss_weights")
+def checkpoint_layout(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every array a NAVC file of cfg holds, in `NetworkParams.arrays()` order."""
+    h, layout = cfg.hidden_size, []
+    for i in range(cfg.recurrent_layers):
+        layout += [(f"layer{i}.wx", (4 * h, cfg.input_size if i == 0 else h)), (f"layer{i}.wh", (4 * h, h)),
+                   (f"layer{i}.b", (4 * h,))]
+    return layout + [("dense.w", (cfg.output_size, h)), ("dense.b", (cfg.output_size,))]
 
 
-def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path: str | Path) -> None:
-    """Serialize params + config + meta.
-
-    Arrays are stored as little-endian float32 (the training precision), so
-    the round trip is bit exact for float32 parameters. meta must carry the
-    window, the feature normalization and the loss weights; inference is
-    self-contained.
-    """
-    for key in REQUIRED_META:
-        if key not in meta:
-            raise CheckpointError(f"meta missing required key {key!r}")
-    header = {
-        "config": asdict(cfg),
-        "meta": meta,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays()],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    head = struct.pack(CHECKPOINT_HEAD, CHECKPOINT_VERSION, len(blob)) + blob
-    write_binary(path, CHECKPOINT_MAGIC, head, (a for _, a in params.arrays()))
+def _check_arrays(arrays, cfg: NetworkConfig, path) -> list[dict]:
+    """cfg's layout as a header's 'arrays' entries; raise CheckpointError
+    naming the first of arrays (entries as a header holds them) that differs."""
+    want = [{"name": name, "shape": list(shape)} for name, shape in checkpoint_layout(cfg)]
+    if not isinstance(arrays, list):
+        raise CheckpointError(f"{path}: 'arrays' is not a list")
+    for i, (got, expected) in enumerate(itertools.zip_longest(arrays, want, fillvalue={})):
+        if got != expected:
+            got = got if isinstance(got, dict) else {}
+            raise CheckpointError(f"{path}: array {i}: {got.get('name')} has shape {got.get('shape')}, "
+                                  f"expected {expected.get('name')} with shape {expected.get('shape')}")
+    return want
 
 
-def _valid_array_desc(desc) -> bool:
-    """A NAVC array entry: a str name and a list of non-negative int dims."""
-    if not isinstance(desc, dict) or not isinstance(desc.get("name"), str):
-        return False
-    shape = desc.get("shape")
-    return isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-
-
-def _check_meta(meta: dict, cfg: NetworkConfig, path: Path) -> None:
+def _check_meta(meta: dict, cfg: NetworkConfig, path) -> None:
     """Raise CheckpointError unless meta holds what inference reads: a
     positive int window and period_ms (when present), input_size finite
     feature means and positive stds, and output_size positive loss weights."""
+    for key in ("window", "feature_mean", "feature_std", "loss_weights"):
+        if key not in meta:
+            raise CheckpointError(f"{path}: meta missing {key!r}")
     for key in ("window", "period_ms"):
-        value = meta.get(key, 1)  # window is in REQUIRED_META; period_ms may be absent
+        value = meta.get(key, 1)  # period_ms may be absent
         if type(value) is not int or value < 1:
             raise CheckpointError(f"{path}: meta {key} must be a positive integer, got {value!r}")
     for key, size, positive in (
@@ -540,12 +535,33 @@ def _check_meta(meta: dict, cfg: NetworkConfig, path: Path) -> None:
         ("loss_weights", cfg.output_size, True),
     ):
         value = meta[key]
-        numbers = isinstance(value, list) and len(value) == size and all(type(v) in (int, float) for v in value)
+        # a float subclass such as np.float64 is written as a JSON number; a bool is not a number
+        numbers = isinstance(value, list) and len(value) == size and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
         with np.errstate(over="ignore"):  # a value beyond float32 becomes inf and fails below
             arr = np.array(value if numbers else [np.nan], dtype=np.float32)  # the precision inference uses
         if not np.all(np.isfinite(arr)) or (positive and not np.all(arr > 0)):
             kind = "finite positive" if positive else "finite"
             raise CheckpointError(f"{path}: meta {key} must be {size} {kind} numbers")
+
+
+def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path: str | Path) -> None:
+    """Serialize params + config + meta; raise CheckpointError, writing
+    nothing, for what `load_checkpoint` would refuse.
+
+    Params must have cfg's array layout and activation, and meta must carry
+    what inference reads (the window, the feature normalization and the loss
+    weights, see `_check_meta`), so inference is self-contained. Arrays are
+    stored as little-endian float32 (the training precision), so the round
+    trip is bit exact for float32 parameters.
+    """
+    arrays = _check_arrays([{"name": n, "shape": list(a.shape)} for n, a in params.arrays()], cfg, path)
+    if params.input_activation != cfg.input_activation:  # load builds the params with cfg's
+        raise CheckpointError(f"{path}: params use {params.input_activation}, the config {cfg.input_activation}")
+    _check_meta(meta, cfg, path)
+    blob = json.dumps({"config": asdict(cfg), "meta": meta, "arrays": arrays}, sort_keys=True).encode("utf-8")
+    head = struct.pack(CHECKPOINT_HEAD, CHECKPOINT_VERSION, len(blob)) + blob
+    write_binary(path, CHECKPOINT_MAGIC, head, (a for _, a in params.arrays()))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -563,33 +579,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: 'meta' is not a JSON object")
-    for key in REQUIRED_META:
-        if key not in meta:
-            raise CheckpointError(f"{path}: meta missing {key!r}; refusing to load")
     try:
         cfg = NetworkConfig(**header["config"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad config ({exc})") from exc
     _check_meta(meta, cfg, path)
-
-    descs = header.get("arrays", [])
-    if not isinstance(descs, list) or not all(map(_valid_array_desc, descs)):
-        raise CheckpointError(f"{path}: malformed 'arrays' header")
-    arrays = split_payload(path, rest[blob_len:], [(d["name"], tuple(d["shape"])) for d in descs], CheckpointError)
-
-    h, n = cfg.hidden_size, cfg.recurrent_layers
-    expected = {}
-    for i in range(n):
-        expected[f"layer{i}.wx"] = (4 * h, cfg.input_size if i == 0 else h)
-        expected[f"layer{i}.wh"] = (4 * h, h)
-        expected[f"layer{i}.b"] = (4 * h,)
-    expected["dense.w"] = (cfg.output_size, h)
-    expected["dense.b"] = (cfg.output_size,)
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing array {name!r}")
-        if arrays[name].shape != shape:
-            raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+    _check_arrays(header.get("arrays", []), cfg, path)
+    arrays = split_payload(path, rest[blob_len:], checkpoint_layout(cfg), CheckpointError)
+    n = cfg.recurrent_layers
     params = NetworkParams(
         layers=[LayerParams(arrays[f"layer{i}.wx"], arrays[f"layer{i}.wh"], arrays[f"layer{i}.b"]) for i in range(n)],
         dense=DenseParams(arrays["dense.w"], arrays["dense.b"]),

@@ -15,7 +15,6 @@ from .preprocess import WindowedDataset
 from .rnn import (
     AdamState,
     Buffers,
-    Checkpoint,
     LossSpec,
     NetworkParams,
     adam_step,
@@ -128,6 +127,11 @@ def fit(
     epoch are returned, otherwise the final parameters. Inputs are never
     mutated; identical inputs and seeds give identical outputs. All batches
     and the validation pass share one `Buffers` set: one tape's memory.
+
+    To retrain a pretrained checkpoint on a new domain, pass its params as
+    init with warm_start=True (recorded in the report): every layer, the
+    output layer included, starts from the source weights, and the optimizer
+    state starts fresh.
     """
     if len(dataset) == 0:
         raise DataError("training dataset is empty")
@@ -194,17 +198,3 @@ def fit(
         return best_params, report
     return params, report
 
-
-def transfer_fit(
-    source: Checkpoint,
-    target_train: WindowedDataset,
-    target_val: WindowedDataset | None,
-    cfg: TrainConfig,
-) -> tuple[NetworkParams, TrainReport]:
-    """Retrain from a pretrained checkpoint on a new domain.
-
-    All layers (including the output layer) start from the source weights;
-    the optimizer state starts fresh. Shapes must match the target data
-    (`fit` checks them).
-    """
-    return fit(target_train, target_val, cfg, source.params, warm_start=True)

@@ -29,7 +29,7 @@ from navrnn.rnn import (
 )
 from navrnn.stream import StreamConfig, compare_online_offline, make_queues, online_infer, replay, run_stream
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
-from navrnn.train import TrainConfig, transfer_fit
+from navrnn.train import TrainConfig, fit
 from oracles import difference
 
 
@@ -426,7 +426,7 @@ def test_criterion_9_transfer(small_ckpt):
                                                  noise=target_noise)))],
         window=small_ckpt["window"], stride=2, normalization=norm, weights=weights,
     )
-    params, report = transfer_fit(ckpt, target_train, target_val, TrainConfig(epochs=2, batch_size=128))
+    params, report = fit(target_train, target_val, TrainConfig(epochs=2, batch_size=128), ckpt.params, warm_start=True)
     _report(9, wins >= 4 and report.warm_start,
             f"warm-start initial val loss {warm:.4f} beats random init in {wins}/5 seeds "
             f"(cold losses {[round(c, 3) for c in cold]})")

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 import navrnn
 from navrnn import stream
 from navrnn.cli import main
-from navrnn.rnn import load_checkpoint, save_checkpoint
 
 
 def _write_config(path: Path, payload: dict) -> str:
@@ -164,8 +164,13 @@ def test_stream_command(tiny_pipeline, monkeypatch):
     ids=["window", "period_ms", "short_feature_mean", "zero_feature_std", "negative_loss_weight"],
 )
 def test_bad_checkpoint_meta_exits_two(tiny_pipeline, tmp_path, capsys, key, value):
-    ckpt = load_checkpoint(tiny_pipeline / "model" / "model_final.navc")
-    save_checkpoint(ckpt.params, ckpt.config, {**ckpt.meta, key: value}, tmp_path / "bad.navc")
+    # save_checkpoint refuses such a meta, so plant it in a saved file's JSON header
+    data = (tiny_pipeline / "model" / "model_final.navc").read_bytes()
+    version, blob_len = struct.unpack("<2I", data[4:12])
+    header = json.loads(data[12 : 12 + blob_len])
+    blob = json.dumps({**header, "meta": {**header["meta"], key: value}}).encode("utf-8")
+    bad = data[:4] + struct.pack("<2I", version, len(blob)) + blob + data[12 + blob_len :]
+    (tmp_path / "bad.navc").write_bytes(bad)
     log_id = json.loads((tiny_pipeline / "pre" / "split.json").read_text())["val"][0]
     cfg = _write_config(
         tmp_path / "stream.json", {"checkpoint": str(tmp_path / "bad.navc"), "log": str(tiny_pipeline / "data" / log_id)}

@@ -56,7 +56,7 @@ def pristine(tmp_path_factory):
     root = tmp_path_factory.mktemp("pristine")
     flight = generate_flight(SynthConfig(duration_s=1.0, profile="hover", seed=3, noise=NoiseConfig.low_cost()))
     write_flight_log(flight, root / "log")
-    save_windows(build_dataset([unify_rates(flight)], window=2), root / "w.bin", {"period_ms": 200})
+    save_windows(build_dataset([unify_rates(flight)], window=2), root / "w.bin")
     cfg = NetworkConfig(recurrent_layers=1, hidden_size=3)
     meta = {"window": 2, "feature_mean": [0.0] * 11, "feature_std": [1.0] * 11, "loss_weights": [1.0] * 6}
     save_checkpoint(init_params(cfg, seed=0), cfg, meta, root / "m.navc")
@@ -135,7 +135,7 @@ def test_windows_value_check_is_data_error(pristine, tmp_path, capsys, array, va
     # decoded values that the dataclasses reject are data errors, not config errors
     ds = load_windows(pristine / "w.bin")
     (ds.weights if array == "weights" else ds.normalization.std)[0] = value
-    save_windows(ds, tmp_path / "w.bin", {"period_ms": 200})
+    save_windows(ds, tmp_path / "w.bin")
     with pytest.raises(DataError, match="must be positive"):
         load_windows(tmp_path / "w.bin")
     (tmp_path / "train.json").write_text(json.dumps({"train_windows": str(tmp_path / "w.bin")}))

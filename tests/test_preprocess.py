@@ -506,7 +506,7 @@ class TestWindows:
     def test_windows_file_round_trip(self, tmp_path, noisy_logs):
         series = [unify_rates(l) for l in noisy_logs[:2]]
         ds = build_dataset(series, window=25, stride=2)
-        save_windows(ds, tmp_path / "w.bin", provenance={"period_ms": 200})
+        save_windows(ds, tmp_path / "w.bin")
         back = load_windows(tmp_path / "w.bin")
         assert np.array_equal(back.windows, ds.windows)
         assert np.array_equal(back.labels, ds.labels)
@@ -515,14 +515,33 @@ class TestWindows:
         assert back.window_size == 25 and back.stride == 2
         assert back.source_logs == ds.source_logs
 
+    def test_period_from_series_survives_round_trip(self, tmp_path, noisy_logs):
+        series = unify_rates(noisy_logs[0])
+        fast = replace(series, t_us=series.t_us[0] + 100_000 * np.arange(len(series)))  # 10 Hz rows
+        ds = build_dataset([fast], window=25, stride=3)
+        assert ds.period_ms == 100
+        save_windows(ds, tmp_path / "a.bin", provenance={"period_ms": 200, "stride": 1, "seed": 4})
+        save_windows(load_windows(tmp_path / "a.bin"), tmp_path / "b.bin")
+        back = load_windows(tmp_path / "b.bin")
+        assert (back.period_ms, back.stride, back.source_logs) == (100, 3, ds.source_logs)
+
+    def test_sub_millisecond_rows_have_no_period(self, noisy_logs):
+        series = unify_rates(noisy_logs[0])
+        with pytest.raises(DataError, match="at least 1 ms"):
+            build_dataset([replace(series, t_us=400 * np.arange(len(series)))], window=25)
+
     @pytest.mark.parametrize(
         "sidecar",
-        ["{not json", "[]", '{"stride": "x"}', '{"source_logs": 5}', '{"period_ms": "x"}'],
-        ids=["not_json", "not_an_object", "bad_stride", "bad_source_logs", "bad_period_ms"],
+        ["{not json", "[]", '{"stride": "x"}', '{"source_logs": 5}', '{"period_ms": "x"}', None,
+         '{"stride": 1, "source_logs": []}'],
+        ids=["not_json", "not_an_object", "bad_stride", "bad_source_logs", "bad_period_ms", "missing", "no_period_ms"],
     )
     def test_malformed_sidecar(self, tmp_path, noisy_logs, sidecar):
         save_windows(build_dataset([unify_rates(noisy_logs[0])], window=25), tmp_path / "w.bin")
-        (tmp_path / "w.json").write_text(sidecar, encoding="utf-8")
+        if sidecar is None:
+            (tmp_path / "w.json").unlink()
+        else:
+            (tmp_path / "w.json").write_text(sidecar, encoding="utf-8")
         with pytest.raises(DataError, match="w.json"):
             load_windows(tmp_path / "w.bin")
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -574,6 +575,46 @@ class TestCheckpoint:
         header = rebuild(json.loads(data[12 : 12 + blob_len]))
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(data[:4] + struct.pack("<2I", version, len(blob)) + blob + data[12 + blob_len :])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"recurrent_layers": 3}, id="more_layers"),
+            pytest.param({"hidden_size": 12}, id="hidden_size"),
+            pytest.param({"output_size": 3}, id="output_size"),
+        ],
+    )
+    def test_save_refuses_params_of_another_layout(self, tmp_path, change):
+        params, cfg, meta, _ = self._make(tmp_path)
+        with pytest.raises(CheckpointError, match="has shape"):
+            save_checkpoint(params, replace(cfg, **change), meta, tmp_path / "other.navc")
+        assert not (tmp_path / "other.navc").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("window", 0), ("period_ms", 2.5), ("feature_std", [float("nan")] * 11), ("loss_weights", [1.0] * 5)],
+        ids=["zero_window", "float_period_ms", "nan_feature_std", "short_loss_weights"],
+    )
+    def test_save_refuses_meta_load_rejects(self, tmp_path, key, value):
+        params, cfg, meta, path = self._make(tmp_path)
+        self._rewrite_header(path, lambda h: {**h, "meta": {**h["meta"], key: value}})
+        with pytest.raises(CheckpointError, match=f"meta {key}"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=f"meta {key}"):
+            save_checkpoint(params, cfg, {**meta, key: value}, tmp_path / "bad.navc")
+        assert not (tmp_path / "bad.navc").exists()
+
+    def test_save_refuses_params_of_another_activation(self, tmp_path):
+        params, cfg, meta, _ = self._make(tmp_path)
+        with pytest.raises(CheckpointError, match="params use tanh, the config relu"):
+            save_checkpoint(params, replace(cfg, input_activation="relu"), meta, tmp_path / "other.navc")
+        assert not (tmp_path / "other.navc").exists()
+
+    def test_save_takes_float_subclasses(self, tmp_path):
+        # np.float64 is written as a JSON number, which load_checkpoint reads back as a float
+        params, cfg, meta, path = self._make(tmp_path)
+        save_checkpoint(params, cfg, {**meta, "feature_std": list(np.full(11, 2.0))}, path)
+        assert load_checkpoint(path).meta["feature_std"] == [2.0] * 11
 
     def test_missing_normalization_meta(self, tmp_path):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=4)

@@ -5,8 +5,8 @@ import pytest
 
 from navrnn.errors import ConfigError, TrainingDivergedError
 from navrnn.preprocess import Normalization, WindowedDataset
-from navrnn.rnn import Checkpoint, LossSpec, NetworkConfig, init_params, forward
-from navrnn.train import DEFAULT_LR_SCHEDULE, TrainConfig, TrainReport, fit, lr_at, transfer_fit
+from navrnn.rnn import LossSpec, NetworkConfig, init_params, forward
+from navrnn.train import DEFAULT_LR_SCHEDULE, TrainConfig, TrainReport, fit, lr_at
 
 
 def _toy_dataset(rng, m=20, w=10, in_size=11, out_size=6, seed_shift=0.0):
@@ -128,24 +128,22 @@ class TestFit:
 
 
 class TestTransfer:
-    def _checkpoint(self, rng, out_size=6):
+    def _source(self, out_size=6):
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=8, input_size=11, output_size=out_size)
-        params = init_params(cfg, seed=0)
-        return Checkpoint(params=params, config=cfg, meta={"window": 10})
+        return init_params(cfg, seed=0)
 
     def test_warm_start_uses_source_weights(self, rng):
         ds = _toy_dataset(rng)
-        ckpt = self._checkpoint(rng)
-        params, report = transfer_fit(ckpt, ds, None, TrainConfig(epochs=0))
+        source = self._source()
+        params, report = fit(ds, None, TrainConfig(epochs=0), source, warm_start=True)
         assert report.warm_start
-        for (_, a), (_, b) in zip(params.arrays(), ckpt.params.arrays()):
+        for (_, a), (_, b) in zip(params.arrays(), source.arrays()):
             assert np.array_equal(a, b)
 
     def test_label_width_mismatch(self, rng):
         ds = _toy_dataset(rng, out_size=6)
-        ckpt = self._checkpoint(rng, out_size=3)
         with pytest.raises(ConfigError, match="output size"):
-            transfer_fit(ckpt, ds, None, TrainConfig(epochs=1))
+            fit(ds, None, TrainConfig(epochs=1), self._source(out_size=3), warm_start=True)
 
     def test_warm_start_helps_on_shifted_domain(self, rng):
         # source task and target task share structure; warm start should not
