@@ -2,8 +2,13 @@
 
 One experiment = one JSON config file + one output directory; no state is
 shared between commands. Subcommands: synth, preprocess, train, eval,
-stream. Exit codes: 0 ok, 1 configuration error, 2 data error, 3 runtime
-failure. NAV_LOG_LEVEL controls verbosity.
+stream. Each command declares its config once, as a dataclass whose fields
+are the file's keys (`SynthCommand`, `PreprocessCommand`, `TrainCommand`,
+`EvalCommand`, `StreamCommand`); `errors.from_json` builds it and every
+nested config, and `errors.check_fields` checks each field against its
+declared type. --seed replaces the declared seed field it overrides. Exit
+codes: 0 ok, 1 configuration error, 2 data error, 3 runtime failure.
+NAV_LOG_LEVEL (a logging level name) controls verbosity.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import deadreckon, evaluate, preprocess, rnn, stream, synth, train
-from .errors import ConfigError, DataError, NavError, ValidationError
+from .errors import ConfigError, DataError, NavError, ValidationError, check_fields, from_json
 from .flightlog import read_flight_log, read_json_object, write_json, write_table
 
 log = logging.getLogger("navrnn")
@@ -38,111 +44,59 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-_REQUIRED = object()
+def _load(cls, args, **defaults):
+    """The command's config from the --config file, built by from_json."""
+    return from_json(cls, read_json_object(args.config, ConfigError), "config", **defaults)
 
 
-def _get(config: dict, key: str, kind=str, default=_REQUIRED):
-    """config[key] converted by kind (str, int, float, dict or list); a missing
-    or null key gives default. A list or dict key takes only a JSON array or
-    object, an int key no bool and no fractional number. A missing required
-    key, or a value that kind cannot convert, raises ConfigError naming the key."""
-    value = config.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config needs {key!r}")
-        return default
-    if kind in (list, dict) and not isinstance(value, kind):
-        raise ConfigError(f"{key!r} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+@dataclass
+class SynthCommand:
+    flights: list = field(default_factory=list)  # SynthConfig objects
+    batch: synth.Batch | None = None
+    base_seed: InitVar[int] = 0  # --seed: the default seed of the batch and of flights[0], +1 per later flight
 
-
-def _build(cls, fields, what: str):
-    """cls(**fields); an unknown field or a bad value raises ConfigError."""
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} config: {exc}") from exc
-
-
-def _noise_from_config(value) -> synth.NoiseConfig:
-    if value is None or value == "none":
-        return synth.NoiseConfig()
-    if value == "low_cost":
-        return synth.NoiseConfig.low_cost()
-    if isinstance(value, str):
-        raise ConfigError(f"unknown noise preset {value!r}")
-    return _build(synth.NoiseConfig, value, "noise")
-
-
-def _synth_cfg(entry: dict) -> synth.SynthConfig:
-    fields = dict(entry, noise=_noise_from_config(entry.get("noise")))
-    if entry.get("rates_hz") is not None:
-        fields["rates_hz"] = _build(synth.Rates, entry["rates_hz"], "rates_hz")
-    return _build(synth.SynthConfig, fields, "flight")
-
-
-def _synth_cfgs(config: dict, seed_override: int | None) -> list[synth.SynthConfig]:
-    """One SynthConfig per 'flights' entry and per 'batch' member."""
-    base_seed = seed_override if seed_override is not None else 0
-    entries = []
-    for i, flight in enumerate(_get(config, "flights", list, [])):
-        if not isinstance(flight, dict):
-            raise ConfigError("each 'flights' entry must be an object")
-        entries.append({"seed": base_seed + i, **flight})
-    batch = _get(config, "batch", dict, None)
-    if batch is not None:
-        count = _get(batch, "count", int, 0)
-        profiles = _get(batch, "profiles", list, ["circle"])
-        if count > 0 and not profiles:
-            raise ConfigError("batch 'profiles' must not be empty")
-        seed0 = _get(batch, "seed", int, base_seed)
-        common = {k: v for k, v in batch.items() if k not in ("count", "profiles", "seed")}
-        entries += [dict(common, profile=profiles[i % len(profiles)], seed=seed0 + i) for i in range(count)]
-    if not entries:
-        raise ConfigError("synth config needs 'flights' and/or 'batch'")
-    return [_synth_cfg(e) for e in entries]
+    def __post_init__(self, base_seed):
+        check_fields(self)
+        self.flights = [from_json(synth.SynthConfig, f, "flight", seed=base_seed + i)
+                        for i, f in enumerate(self.flights)]
+        if self.batch is not None:
+            self.batch = from_json(synth.Batch, self.batch, "batch", seed=base_seed)
+        if not self.flights and not (self.batch and self.batch.count):
+            raise ConfigError("synth config needs 'flights' and/or 'batch'")
 
 
 def cmd_synth(args) -> int:
-    config = read_json_object(args.config, ConfigError)
+    config = _load(SynthCommand, args, base_seed=args.seed)
     out = Path(args.out)
-    cfgs = _synth_cfgs(config, args.seed)
-    manifest = synth.make_dataset(cfgs, out)
+    manifest = synth.make_dataset(config.flights + (config.batch.flights() if config.batch else []), out)
     log.info("wrote %d logs under %s", len(manifest.logs), out)
     print(f"synth: {len(manifest.logs)} logs -> {out}")
     return EXIT_OK
 
 
-def _cleanup_options(config: dict) -> dict:
-    """clean_log keyword arguments from a preprocess or eval config; clean_log checks their values."""
-    trim = _get(config, "trim", dict, {})
-    return {
-        "max_gap_s": _get(config, "max_gap_s", float, 1.0),
-        "min_duration_s": _get(config, "min_duration_s", float, 60.0),
-        "vel_thresh_mps": _get(trim, "vel_thresh_mps", float, 0.5),
-        "hold_s": _get(trim, "hold_s", float, 1.0),
-    }
+@dataclass(kw_only=True)
+class PreprocessCommand(preprocess.Cleanup):
+    dataset: str
+    window: int = 200
+    stride: int = 1
+    val_stride: int | None = None  # None: stride
+    val_fraction: float = 0.15
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_fields(self, window=1, stride=1, val_stride=1, seed=0)
 
 
 def cmd_preprocess(args) -> int:
-    config = read_json_object(args.config, ConfigError)
+    config = _load(PreprocessCommand, args)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = synth.DatasetManifest.load(_get(config, "dataset"))
-    seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
-    window = _get(config, "window", int, 200)
-    stride = _get(config, "stride", int, 1)
-    val_stride = _get(config, "val_stride", int, stride)
-    val_fraction = _get(config, "val_fraction", float, 0.15)
-    trim = _get(config, "trim", dict, {})
+    manifest = synth.DatasetManifest.load(config.dataset)
 
-    cleanup = _cleanup_options(config)
-    verdicts = [preprocess.clean_log(manifest.log_path(e), e.log_id, **cleanup) for e in manifest.logs]
+    verdicts = [preprocess.clean_log(manifest.log_path(e), e.log_id, config) for e in manifest.logs]
     kept = [e for e, v in zip(manifest.logs, verdicts) if v.accepted]
     trimmed = {e.log_id: v.trimmed for e, v in zip(manifest.logs, verdicts) if v.accepted}
     write_json(
@@ -157,7 +111,7 @@ def cmd_preprocess(args) -> int:
         raise DataError(f"only {len(kept)} usable logs after cleanup")
 
     kept_manifest = synth.DatasetManifest(root=manifest.root, logs=kept)
-    train_entries, val_entries = preprocess.split_dataset(kept_manifest, val_fraction, seed)
+    train_entries, val_entries = preprocess.split_dataset(kept_manifest, config.val_fraction, config.seed)
     train_series = [preprocess.unify_rates(trimmed[e.log_id]) for e in train_entries]
     val_series = [preprocess.unify_rates(trimmed[e.log_id]) for e in val_entries]
 
@@ -165,12 +119,13 @@ def cmd_preprocess(args) -> int:
     weights = preprocess.compute_signal_weights(np.vstack([s.labels for s in train_series]))
     provenance = {
         "dataset": str(manifest.root),
-        "trim": trim,
-        "seed": seed,
+        "trim": asdict(config.trim),
+        "seed": config.seed,
     }
-    train_ds = preprocess.build_dataset(train_series, window, stride, norm, weights)
+    train_ds = preprocess.build_dataset(train_series, config.window, config.stride, norm, weights)
     preprocess.save_windows(train_ds, out / "train_windows.bin", provenance)
-    val_ds = preprocess.build_dataset(val_series, window, val_stride, norm, weights)
+    val_stride = config.stride if config.val_stride is None else config.val_stride
+    val_ds = preprocess.build_dataset(val_series, config.window, val_stride, norm, weights)
     preprocess.save_windows(val_ds, out / "val_windows.bin", provenance)
     write_json(
         {
@@ -187,30 +142,39 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+@dataclass(kw_only=True)
+class TrainCommand:
+    train_windows: str
+    val_windows: str = ""  # "": no validation set
+    network: dict = field(default_factory=dict)  # NetworkConfig keys; the sizes default to the dataset's
+    train: train.TrainConfig = field(default_factory=train.TrainConfig)
+    init_seed: int = 0  # defaults to --seed when given
+    transfer_from: str = ""  # a source checkpoint to warm-start from
+
+    def __post_init__(self):
+        check_fields(self, init_seed=0)
+        from_json(rnn.NetworkConfig, self.network, "network")  # checked here, sized by the dataset in cmd_train
+        self.train = from_json(train.TrainConfig, self.train, "train")
+
+
 def cmd_train(args) -> int:
-    config = read_json_object(args.config, ConfigError)
+    config = _load(TrainCommand, args, init_seed=args.seed)
+    if args.seed is not None:
+        config = replace(config, train=replace(config.train, shuffle_seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds = preprocess.load_windows(_get(config, "train_windows"))
-    val_path = _get(config, "val_windows", str, "")
-    val_ds = preprocess.load_windows(val_path) if val_path else None
+    train_ds = preprocess.load_windows(config.train_windows)
+    val_ds = preprocess.load_windows(config.val_windows) if config.val_windows else None
+    sizes = {"input_size": train_ds.windows.shape[2], "output_size": train_ds.labels.shape[1]}
+    net_cfg = from_json(rnn.NetworkConfig, config.network, "network", **sizes)
 
-    net_fields = {"input_size": train_ds.windows.shape[2], "output_size": train_ds.labels.shape[1]}
-    net_cfg = _build(rnn.NetworkConfig, dict(net_fields, **_get(config, "network", dict, {})), "network")
-    train_fields = _get(config, "train", dict, {})
-    if args.seed is not None:
-        train_fields["shuffle_seed"] = args.seed
-    train_cfg = _build(train.TrainConfig, train_fields, "train")
-
-    init_seed = _get(config, "init_seed", int, args.seed if args.seed is not None else 0)
-    transfer_from = _get(config, "transfer_from", str, "")
-    if transfer_from:
-        source = rnn.load_checkpoint(transfer_from)
-        params, report = train.fit(train_ds, val_ds, train_cfg, source.params, warm_start=True)
+    if config.transfer_from:
+        source = rnn.load_checkpoint(config.transfer_from)
+        params, report = train.fit(train_ds, val_ds, config.train, source.params, warm_start=True)
         net_cfg = source.config
     else:
-        init = rnn.init_params(net_cfg, seed=init_seed)
-        params, report = train.fit(train_ds, val_ds, train_cfg, init)
+        init = rnn.init_params(net_cfg, seed=config.init_seed)
+        params, report = train.fit(train_ds, val_ds, config.train, init)
 
     meta = {
         "window": train_ds.window_size,
@@ -230,33 +194,44 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@dataclass(kw_only=True)
+class EvalCommand(preprocess.Cleanup):
+    checkpoint: str
+    dataset: str
+    logs: list | None = None  # log ids; None or []: the split's 'val' list, else every log
+    split: str = ""  # a preprocess split.json
+    baseline: bool = False  # as --baseline: also dead-reckon every flight
+    deadreckon: deadreckon.DeadReckonConfig = field(default_factory=deadreckon.DeadReckonConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.deadreckon = from_json(deadreckon.DeadReckonConfig, self.deadreckon, "deadreckon")
+
+
 def cmd_eval(args) -> int:
-    config = read_json_object(args.config, ConfigError)
+    config = _load(EvalCommand, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = rnn.load_checkpoint(_get(config, "checkpoint"))
-    manifest = synth.DatasetManifest.load(_get(config, "dataset"))
-    cleanup = _cleanup_options(config)
+    ckpt = rnn.load_checkpoint(config.checkpoint)
+    manifest = synth.DatasetManifest.load(config.dataset)
 
-    wanted = _get(config, "logs", list, None) or None
-    split_path = _get(config, "split", str, "")
-    if wanted is None and split_path:
-        wanted = read_json_object(split_path).get("val")
+    wanted = config.logs or None
+    if wanted is None and config.split:
+        wanted = read_json_object(config.split).get("val")
         if not isinstance(wanted, list):
-            raise DataError(f"{split_path}: split has no 'val' list of log ids")
+            raise DataError(f"{config.split}: split has no 'val' list of log ids")
     entries = [e for e in manifest.logs if wanted is None or e.log_id in wanted]
     if not entries:
         raise DataError("no logs selected for evaluation")
 
-    run_baseline = bool(args.baseline or config.get("baseline"))
-    dr_cfg = _build(deadreckon.DeadReckonConfig, config.get("deadreckon", {}), "deadreckon") if run_baseline else None
+    run_baseline = args.baseline or config.baseline
 
     metrics_dir = out / "metrics"
     metrics_dir.mkdir(exist_ok=True)
     all_metrics = []
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
-        verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, **cleanup)
+        verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, config)
         if not verdict.accepted:  # cleanup has logged why
             continue
         series = preprocess.unify_rates(verdict.trimmed)
@@ -266,7 +241,7 @@ def cmd_eval(args) -> int:
         all_metrics.append(m)
         if run_baseline:
             baseline_metrics.append(
-                evaluate.baseline_flight_metrics(verdict.trimmed, series, ckpt.meta["window"], dr_cfg)
+                evaluate.baseline_flight_metrics(verdict.trimmed, series, ckpt.meta["window"], config.deadreckon)
             )
     if not all_metrics:
         raise DataError("every selected log was rejected by cleanup")
@@ -284,18 +259,27 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@dataclass(kw_only=True)
+class StreamCommand:
+    checkpoint: str
+    log: str  # a log directory
+    stream: stream.StreamConfig = field(default_factory=stream.StreamConfig)
+
+    def __post_init__(self):
+        check_fields(self)
+        self.stream = from_json(stream.StreamConfig, self.stream, "stream")
+
+
 def cmd_stream(args) -> int:
-    config = read_json_object(args.config, ConfigError)
+    config = _load(StreamCommand, args)
+    if args.seed is not None:
+        config = replace(config, stream=replace(config.stream, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = rnn.load_checkpoint(_get(config, "checkpoint"))
-    flight = read_flight_log(_get(config, "log"))
-    stream_fields = _get(config, "stream", dict, {})
-    if args.seed is not None:
-        stream_fields["seed"] = args.seed
-    cfg = _build(stream.StreamConfig, stream_fields, "stream")
+    ckpt = rnn.load_checkpoint(config.checkpoint)
+    flight = read_flight_log(config.log)
 
-    predictions = stream.run_stream(flight, ckpt, cfg)
+    predictions = stream.run_stream(flight, ckpt, config.stream)
     write_table(
         out / "online_predictions.csv",
         "t_us,dpn,dpe,dpd,dvn,dve,dvd,latency_ms,dropped_samples",
@@ -332,8 +316,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _log_level() -> int:
+    name = os.environ.get("NAV_LOG_LEVEL", "WARNING").upper()
+    level = logging.getLevelName(name)
+    if not isinstance(level, int):
+        raise ConfigError(f"NAV_LOG_LEVEL {name!r} is not a logging level name")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("NAV_LOG_LEVEL", "WARNING").upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -341,6 +332,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

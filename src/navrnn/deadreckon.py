@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quat
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_fields, finite_vector
 from .flightlog import FlightLog
 
 GRAVITY_MPS2 = 9.80665
@@ -38,9 +38,9 @@ class DeadReckonConfig:
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        check_fields(self, floats={"gravity_mps2": None, "home_lat_deg": None})
-        self.gyro_bias = np.asarray(self.gyro_bias, dtype=float).reshape(3)
-        self.accel_bias = np.asarray(self.accel_bias, dtype=float).reshape(3)
+        check_fields(self)
+        self.gyro_bias = finite_vector(self.gyro_bias, "gyro_bias", 3)
+        self.accel_bias = finite_vector(self.accel_bias, "accel_bias", 3)
         if self.gravity_mps2 <= 0:
             raise ConfigError("gravity must be positive")
         if abs(self.home_lat_deg) > 90.0:

@@ -28,11 +28,10 @@ import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyBinError, ValidationError, check_fields
+from .errors import ConfigError, DataError, EmptyBinError, ValidationError, check_fields, from_json
 from .flightlog import (STREAMS, EkfStream, FlightLog, read_binary, read_json_object, read_manifest, read_stream,
                         split_payload, write_binary, write_json)
 from .synth import DatasetManifest, LogEntry
@@ -192,14 +191,40 @@ def unify_rates(log: FlightLog) -> UnifiedSeries:
     )
 
 
-def flight_span(ekf: EkfStream, vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> tuple[int, int] | None:
+@dataclass
+class Trim:
+    """Ground-time trimming options; see flight_span."""
+
+    vel_thresh_mps: float = 0.5
+    hold_s: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, vel_thresh_mps=0, hold_s=0)
+
+
+@dataclass
+class Cleanup:
+    """The cleanup options, in the shape of a preprocess or eval config: the
+    longest gap a stream may have, the shortest flight after trimming, and
+    the trim."""
+
+    max_gap_s: float = 1.0
+    min_duration_s: float = 60.0
+    trim: Trim = field(default_factory=Trim)
+
+    def __post_init__(self):
+        self.trim = from_json(Trim, self.trim, "trim")
+        check_fields(self, max_gap_s=0, min_duration_s=0)
+
+
+def flight_span(ekf: EkfStream, trim: Trim = Trim()) -> tuple[int, int] | None:
     """Ground-time trimming: the takeoff and landing times (us) of an
     estimator stream, or None when it never takes off. Takeoff is the first
-    sample whose velocity norm stays above vel_thresh_mps for hold_s; landing
-    is the end of the last such stretch."""
-    moving = (np.linalg.norm(ekf.vel_ned, axis=1) > vel_thresh_mps).astype(np.int8)
+    sample whose velocity norm stays above trim.vel_thresh_mps for
+    trim.hold_s; landing is the end of the last such stretch."""
+    moving = (np.linalg.norm(ekf.vel_ned, axis=1) > trim.vel_thresh_mps).astype(np.int8)
     dt_med = float(np.median(np.diff(ekf.t_us))) * 1e-6 if len(ekf) > 1 else 0.2
-    hold_n = max(1, int(round(min(hold_s / max(dt_med, 1e-6), len(ekf) + 1))))  # no overflow for a huge hold_s
+    hold_n = max(1, int(round(min(trim.hold_s / max(dt_med, 1e-6), len(ekf) + 1))))  # no overflow for a huge hold_s
     step = np.diff(moving, prepend=0, append=0)
     starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)  # runs of motion [start, stop)
     sustained = stops - starts >= hold_n
@@ -220,31 +245,25 @@ class CleanupVerdict:
         return {key: value for key, value in vars(self).items() if key != "trimmed"}
 
 
-def detect_corrupted(log: FlightLog, max_gap_s: float = 1.0, min_duration_s: float = 60.0,
-                     vel_thresh_mps: float = 0.5, hold_s: float = 1.0) -> CleanupVerdict:
-    """The cleanup verdict on a log in memory, in the module docstring's order.
-    Raises only ConfigError, for an option that is not a finite number >= 0; a
-    rejected log gets one WARNING line naming its reason."""
-    return _judge(log.log_id, lambda: vars(log), partial(getattr, log),
-                  max_gap_s, min_duration_s, vel_thresh_mps, hold_s)
+def detect_corrupted(log: FlightLog, cleanup: Cleanup = Cleanup()) -> CleanupVerdict:
+    """The cleanup verdict on a log in memory, in the module docstring's
+    order; a rejected log gets one WARNING line naming its reason."""
+    return _judge(log.log_id, lambda: vars(log), partial(getattr, log), cleanup)
 
 
-def clean_log(path: str | Path, log_id: str, **options) -> CleanupVerdict:
+def clean_log(path: str | Path, log_id: str, cleanup: Cleanup = Cleanup()) -> CleanupVerdict:
     """detect_corrupted's verdict on a log directory, reading each file only
     while the log can still be accepted; an unreadable file rejects the log."""
-    return _judge(log_id, partial(read_manifest, path), partial(read_stream, path), **options)
+    return _judge(log_id, partial(read_manifest, path), partial(read_stream, path), cleanup)
 
 
-def _judge(log_id, head, stream, max_gap_s=1.0, min_duration_s=60.0, vel_thresh_mps=0.5, hold_s=1.0):
+def _judge(log_id, head, stream, cleanup: Cleanup) -> CleanupVerdict:
     """The one cleanup verdict, over head() (the log's FlightLog fields) and stream(name)."""
-    options = SimpleNamespace(max_gap_s=max_gap_s, min_duration_s=min_duration_s, vel_thresh_mps=vel_thresh_mps,
-                              hold_s=hold_s)
-    check_fields(options, floats=dict.fromkeys(vars(options), 0))
     verdict = CleanupVerdict(log_id=log_id, accepted=False)
 
     def checked(name):
         data = stream(name)
-        if found := data.defects(max_gap_s):
+        if found := data.defects(cleanup.max_gap_s):
             raise ValidationError("; ".join(found))
         return data
 
@@ -252,13 +271,14 @@ def _judge(log_id, head, stream, max_gap_s=1.0, min_duration_s=60.0, vel_thresh_
         fields = head()
         verdict.log_id = fields["log_id"]
         ekf = checked("ekf")
-        span = flight_span(ekf, vel_thresh_mps, hold_s)
+        span = flight_span(ekf, cleanup.trim)
         if span is None:
-            return _reject(verdict, "no_takeoff", f"no sustained motion above {vel_thresh_mps:g} m/s")
+            return _reject(verdict, "no_takeoff", f"no sustained motion above {cleanup.trim.vel_thresh_mps:g} m/s")
         duration = float(span[1] - span[0]) * 1e-6
-        if duration < min_duration_s:
+        if duration < cleanup.min_duration_s:
             verdict.post_trim_duration_s = duration
-            return _reject(verdict, "too_short", f"{duration:g} s after trimming (minimum {min_duration_s:g} s)")
+            detail = f"{duration:g} s after trimming (minimum {cleanup.min_duration_s:g} s)"
+            return _reject(verdict, "too_short", detail)
         log = FlightLog(**{**fields, "ekf": ekf, **{name: checked(name) for name in ("baro", "mag", "imu")}})
         if found := log.overlap_defects():
             raise ValidationError("; ".join(found))
@@ -343,7 +363,7 @@ class WindowedDataset:
 
 def build_dataset(
     series_list: list[UnifiedSeries],
-    window: int = 200,
+    window: int,
     stride: int = 1,
     normalization: Normalization | None = None,
     weights: np.ndarray | None = None,

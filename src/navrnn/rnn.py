@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError, check_fields
+from .errors import CheckpointError, ConfigError, DataError, check_fields, finite_vector
 from .flightlog import read_binary, split_payload, write_binary
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid")
@@ -51,7 +51,7 @@ class NetworkConfig:
     # the recurrent (gate) activation is fixed to sigmoid
 
     def __post_init__(self):
-        check_fields(self, ints=dict.fromkeys(("recurrent_layers", "hidden_size", "input_size", "output_size"), 1))
+        check_fields(self, recurrent_layers=1, hidden_size=1, input_size=1, output_size=1)
         if self.cell != "lstm":
             raise ConfigError(f"unknown cell {self.cell!r}; only 'lstm' is supported")
         if self.input_activation not in ACTIVATIONS:
@@ -349,10 +349,11 @@ class LossSpec:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("mae", "weighted_mae"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+            self.weights = finite_vector(self.weights, "loss weights")
         if self.kind == "weighted_mae":
             if self.weights is None:
                 raise ConfigError("weighted_mae requires weights")

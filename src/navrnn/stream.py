@@ -43,7 +43,7 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ints={"queue_capacity": 1, "seed": 0}, floats={"jitter_ms": 0, "replay_speed": 0})
+        check_fields(self, jitter_ms=0, queue_capacity=1, replay_speed=0, seed=0)
 
 
 @dataclass

@@ -14,15 +14,16 @@ biases and white Gaussian noise are added afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import quat
 from .deadreckon import GRAVITY_MPS2
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_fields, finite_vector, from_json
 from .flightlog import (
+    VEHICLE_TYPES,
     BaroStream,
     EkfStream,
     FlightLog,
@@ -50,7 +51,7 @@ class Rates:
     ekf: float = 5.0
 
     def __post_init__(self):
-        check_fields(self, floats=dict.fromkeys(("imu", "baro", "mag", "ekf")))
+        check_fields(self)
         if min(self.imu, self.baro, self.mag, self.ekf) <= 0:
             raise ConfigError("rates must be positive")
 
@@ -75,11 +76,10 @@ class NoiseConfig:
     accel_bias_vec: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        scalars = ("gyro_std", "accel_std", "gyro_bias", "accel_bias", "baro_std", "mag_std")
-        check_fields(self, floats=dict.fromkeys(scalars, 0))
+        check_fields(self, gyro_std=0, accel_std=0, gyro_bias=0, accel_bias=0, baro_std=0, mag_std=0)
         for name in ("gyro_bias_vec", "accel_bias_vec"):
             if getattr(self, name) is not None:
-                setattr(self, name, tuple(np.asarray(getattr(self, name), dtype=float).reshape(3).tolist()))
+                setattr(self, name, tuple(finite_vector(getattr(self, name), name, 3).tolist()))
 
     @classmethod
     def low_cost(cls, scale: float = 1.0) -> "NoiseConfig":
@@ -98,7 +98,7 @@ class SynthConfig:
     duration_s: float = 60.0
     profile: str = "hover"
     rates_hz: Rates = field(default_factory=Rates)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)  # or a preset: "none" or "low_cost"
     ground_time_s: float = 0.0
     seed: int = 0
     ground_drift_mps: float = 0.0
@@ -106,16 +106,43 @@ class SynthConfig:
     home_lat_deg: float = 30.0
 
     def __post_init__(self):
-        check_fields(self, ints={"seed": 0},
-                     floats={"duration_s": None, "ground_time_s": 0, "ground_drift_mps": None, "home_lat_deg": None})
+        self.rates_hz = from_json(Rates, self.rates_hz, "rates_hz")
+        if isinstance(self.noise, str):
+            if self.noise not in ("none", "low_cost"):
+                raise ConfigError(f"unknown noise preset {self.noise!r}")
+            self.noise = NoiseConfig.low_cost() if self.noise == "low_cost" else NoiseConfig()
+        self.noise = from_json(NoiseConfig, self.noise, "noise")
+        check_fields(self, ground_time_s=0, seed=0)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
+        if self.vehicle_type not in VEHICLE_TYPES:
+            raise ConfigError(f"unknown vehicle_type {self.vehicle_type!r}")
 
     @property
     def total_duration_s(self) -> float:
         return self.duration_s + 2.0 * self.ground_time_s
+
+
+@dataclass
+class Batch(SynthConfig):
+    """A synth config's 'batch': count flights with the other fields, their
+    profiles cycling through profiles and their seeds counting up from seed."""
+
+    count: int = 0
+    profiles: list = field(default_factory=lambda: ["circle"])
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_fields(self, count=0)
+        if self.count > 0 and not self.profiles:
+            raise ConfigError("batch 'profiles' must not be empty")
+
+    def flights(self) -> list[SynthConfig]:
+        common = {f.name: getattr(self, f.name) for f in fields(SynthConfig)}
+        return [SynthConfig(**dict(common, profile=self.profiles[i % len(self.profiles)], seed=self.seed + i))
+                for i in range(self.count)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError, check_fields
+from .errors import ConfigError, DataError, TrainingDivergedError, check_fields, from_json
 from .flightlog import write_json
 from .preprocess import WindowedDataset
 from .rnn import (
@@ -28,42 +27,44 @@ DEFAULT_LR_SCHEDULE = ((0, 0.005), (51, 0.0025), (101, 0.001))
 
 
 @dataclass
+class LrStep:  # one lr_schedule entry: the rate from its start epoch on
+    lr_schedule_epoch: int
+    lr_schedule_rate: float
+
+    def __post_init__(self):
+        check_fields(self, lr_schedule_epoch=0, lr_schedule_rate=0)
+
+
+@dataclass
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 1024
-    lr_schedule: tuple = DEFAULT_LR_SCHEDULE
+    lr_schedule: tuple = DEFAULT_LR_SCHEDULE  # [start epoch, rate] pairs
     shuffle_seed: int = 0
     early_stop_patience: int = 0  # 0 disables early stopping
     loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights; a mapping builds a LossSpec
 
     def __post_init__(self):
-        check_fields(self, ints={"epochs": 0, "batch_size": 1, "shuffle_seed": 0, "early_stop_patience": None})
-        entries = [SimpleNamespace(lr_schedule_epoch=e, lr_schedule_rate=lr) for e, lr in self.lr_schedule]
-        for entry in entries:
-            check_fields(entry, ints={"lr_schedule_epoch": 0}, floats={"lr_schedule_rate": 0})
-        self.lr_schedule = tuple((int(e.lr_schedule_epoch), float(e.lr_schedule_rate)) for e in entries)
+        check_fields(self, epochs=0, batch_size=1, shuffle_seed=0)
+        if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in self.lr_schedule):
+            raise ConfigError(f"each lr_schedule entry must be a [start epoch, rate] pair, got {self.lr_schedule!r}")
+        steps = [LrStep(*entry) for entry in self.lr_schedule]
+        self.lr_schedule = tuple((int(s.lr_schedule_epoch), float(s.lr_schedule_rate)) for s in steps)
         starts = [e for e, _ in self.lr_schedule]
         if not starts:
             raise ConfigError("lr_schedule must not be empty")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ConfigError("lr_schedule epochs must be strictly increasing")
-        if isinstance(self.loss, dict):
-            self.loss = LossSpec(**self.loss)
+        if self.loss is not None:
+            self.loss = from_json(LossSpec, self.loss, "loss")
 
 
 def lr_at(schedule, epoch: int) -> float:
     """Learning rate of the last schedule entry whose start <= epoch."""
-    if not schedule:
-        raise ConfigError("empty lr schedule")
-    if epoch < 0:
-        raise ConfigError("epoch must be >= 0")
-    current = None
-    for start, lr in schedule:
-        if int(start) <= epoch:
-            current = float(lr)
-    if current is None:
+    rates = [lr for start, lr in schedule if start <= epoch]
+    if not rates:
         raise ConfigError(f"no schedule entry covers epoch {epoch}")
-    return current
+    return rates[-1]
 
 
 @dataclass
@@ -97,9 +98,11 @@ class TrainReport:
 
 
 def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
-    if cfg.loss is not None:
-        return cfg.loss
-    return LossSpec(kind="weighted_mae", weights=dataset.weights.astype(np.float64))
+    if cfg.loss is None:
+        return LossSpec(kind="weighted_mae", weights=dataset.weights.astype(np.float64))
+    if cfg.loss.weights is not None and len(cfg.loss.weights) != dataset.labels.shape[1]:
+        raise ConfigError(f"loss weights hold {len(cfg.loss.weights)} numbers for {dataset.labels.shape[1]} labels")
+    return cfg.loss
 
 
 def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int, bufs=None) -> float:

@@ -303,10 +303,10 @@ def test_criterion_7b_beats_dead_reckoning(e2e):
 def test_criterion_7c_bounded_offset(e2e):
     ckpt = load_checkpoint(e2e["ckpt_path"])
     log_id = e2e["split"]["val"][0]
-    from navrnn.preprocess import detect_corrupted
+    from navrnn.preprocess import Cleanup, detect_corrupted
 
     log = read_flight_log(Path(e2e["root"]) / "data" / log_id)
-    flight = detect_corrupted(log, min_duration_s=60.0).trimmed
+    flight = detect_corrupted(log, Cleanup(min_duration_s=60.0)).trimmed
     series = unify_rates(flight)
     inc = predict_increments(ckpt, series).astype(np.float64)
     w = ckpt.meta["window"]
@@ -337,20 +337,20 @@ def test_criterion_7_runtime(e2e):
 
 
 def test_criterion_8_online_offline(e2e):
-    from navrnn.preprocess import detect_corrupted
+    from navrnn.preprocess import Cleanup, detect_corrupted
 
     ckpt = load_checkpoint(e2e["ckpt_path"])
     root = Path(e2e["root"])
     all_equal = True
     comparisons = 0
     for log_id in e2e["split"]["val"]:
-        flight = detect_corrupted(read_flight_log(root / "data" / log_id), min_duration_s=60.0).trimmed
+        flight = detect_corrupted(read_flight_log(root / "data" / log_id), Cleanup(min_duration_s=60.0)).trimmed
         online = run_stream(flight, ckpt, StreamConfig(jitter_ms=0.0, replay_speed=0.0))
         rep = compare_online_offline(flight, ckpt, online)
         comparisons += rep["n_compared"]
         all_equal &= rep["bitwise_equal"] and rep["dropped_samples"] == 0
 
-    flight = detect_corrupted(read_flight_log(root / "data" / e2e["split"]["val"][0]), min_duration_s=60.0).trimmed
+    flight = detect_corrupted(read_flight_log(root / "data" / e2e["split"]["val"][0]), Cleanup(min_duration_s=60.0)).trimmed
     online_j = run_stream(flight, ckpt, StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=8))
     rep_j = compare_online_offline(flight, ckpt, online_j)
     jitter_dev = max(rep_j["max_abs_dev"])

@@ -1,16 +1,24 @@
 import json
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import navrnn
-from navrnn import stream
+from navrnn import cli, stream
 from navrnn.cli import main
+from navrnn.errors import from_json
+from navrnn.rnn import NetworkConfig
+from navrnn.synth import SynthConfig
 
 
 def _write_config(path: Path, payload: dict) -> str:
@@ -336,6 +344,21 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("eval", lambda root: {**_model_inputs(root), "trim": {"vel_thresh_mps": -1.0}}),
         ("train", lambda root: _train_inputs(root, train={"lr_schedule": [[0, 0.01], [2.5, 0.001]]})),
         ("train", lambda root: _train_inputs(root, train={"lr_schedule": [[0, float("nan")]]})),
+        ("train", lambda root: _train_inputs(root, train={"loss": "mae"})),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "seed": -1}),
+        ("train", lambda root: _train_inputs(root, init_seed=-1)),
+        ("synth", lambda root: {"flights": [{"rates_hz": []}]}),
+        ("train", lambda root: _train_inputs(root, train={"loss": {"weights": [1.0, 1.0]}})),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "windw": 3}),
+        ("eval", lambda root: {**_model_inputs(root), "trim": {"vel_thres_mps": 0.5}}),
+        ("eval", lambda root: {**_model_inputs(root), "baseline": "no"}),
+        ("eval", lambda root: {**_model_inputs(root), "deadreckon": {"apply_earth_rate": "x"}}),
+        ("stream", lambda root: _stream_inputs(root, replay_speed=True)),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "window": 50.0}),
+        ("eval", lambda root: {**_model_inputs(root), "baseline": True,
+                               "deadreckon": {"gyro_bias": [float("nan"), 0, 0]}}),
+        ("train", lambda root: _train_inputs(root, train={"loss": {"weights": [float("nan")] * 6}})),
+        ("synth", lambda root: {"flights": [{"vehicle_type": 3}]}),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -364,6 +387,20 @@ def _stream_inputs(root: Path, **fields) -> dict:
         "eval_negative_vel_thresh",
         "train_fractional_lr_schedule_epoch",
         "train_nan_lr_schedule_rate",
+        "train_loss_not_an_object",
+        "preprocess_negative_seed",
+        "train_negative_init_seed",
+        "synth_rates_not_an_object",
+        "train_short_loss_weights",
+        "preprocess_unknown_key",
+        "eval_unknown_trim_key",
+        "eval_string_baseline",
+        "eval_string_apply_earth_rate",
+        "stream_bool_replay_speed",
+        "preprocess_whole_float_window",
+        "eval_nan_gyro_bias",
+        "train_nan_loss_weights",
+        "synth_integer_vehicle_type",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
@@ -372,6 +409,31 @@ def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train", "stream"])
+def test_negative_seed_override_exits_one(tiny_pipeline, tmp_path, capsys, command):
+    configs = {
+        "synth": {"flights": [{"duration_s": 5.0}]},
+        "preprocess": {"dataset": str(tiny_pipeline / "data")},
+        "train": _train_inputs(tiny_pipeline),
+        "stream": _stream_inputs(tiny_pipeline),
+    }
+    cfg = _write_config(tmp_path / "cfg.json", configs[command])
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+
+
+def test_unknown_log_level_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NAV_LOG_LEVEL", "verbose")
+    cfg = _write_config(tmp_path / "cfg.json", {"flights": [{"duration_s": 5.0}]})
+    capsys.readouterr()
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, code", [("mae", 0), ("bogus", 1)])
@@ -410,3 +472,93 @@ def test_only_synth_imports_scipy():
     code = "import sys, navrnn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+HOSTILE = [None, True, "x", "", [], [1], {}, {"a": 1}, float("nan"), float("inf"), -1, 0, 2.5, -1e300]
+
+# valid values that are only slow, so they stay out of the property's domain:
+# a replay at a positive speed runs on the wall clock (2.5 on a 70 s flight
+# takes 28 s), and a long flight, many epochs or many flights take as long
+SLOW = {
+    "replay_speed": lambda v: v > 0,
+    "duration_s": lambda v: v > 100,
+    "epochs": lambda v: v > 5,
+    "count": lambda v: v > 5,
+}
+
+# fields whose value holds a config that its command builds later: a flights entry, the network
+ENTRIES = {"flights": SynthConfig, "network": NetworkConfig}
+
+COMMAND_CONFIGS = {
+    "synth": cli.SynthCommand,
+    "preprocess": cli.PreprocessCommand,
+    "train": cli.TrainCommand,
+    "eval": cli.EvalCommand,
+    "stream": cli.StreamCommand,
+}
+
+
+def _declared_paths(cls, prefix=()):
+    """The key path of every declared field of config class cls, nested configs included."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        path = (*prefix, f.name)
+        yield path
+        types = (hints[f.name], *get_args(hints[f.name]))
+        nested = ENTRIES.get(f.name) or next((t for t in types if is_dataclass(t)), None)
+        if nested is not None:
+            yield from _declared_paths(nested, (*path, 0) if f.name == "flights" else path)
+
+
+def _valid_configs(root: Path) -> dict:
+    """A small config of each command that runs to exit 0 on the tiny pipeline."""
+    ids = json.loads((root / "pre" / "split.json").read_text())["val"]
+    return {
+        "synth": {"flights": [{"duration_s": 5.0, "profile": "hover"}],
+                  "batch": {"count": 1, "profiles": ["circle"], "duration_s": 5.0, "noise": "low_cost"}},
+        "preprocess": {"dataset": str(root / "data"), "window": 20, "stride": 2, "val_fraction": 0.25,
+                       "min_duration_s": 30.0},
+        "train": _train_inputs(root, network={"recurrent_layers": 1, "hidden_size": 8},
+                               train={"epochs": 1, "batch_size": 128, "loss": {"weights": [1.0] * 6}}),
+        "eval": {**_model_inputs(root), "logs": ids[:1], "min_duration_s": 30.0, "baseline": True},
+        "stream": _stream_inputs(root, jitter_ms=0.0),
+    }
+
+
+def _with(config: dict, path: tuple, value) -> dict:
+    """A deep copy of config with the key at path set to value, making the objects on the way."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key, next_key in zip(path, path[1:]):
+        if isinstance(node, dict):
+            made = [{}] if isinstance(next_key, int) else {}
+            if not isinstance(node.get(key), type(made)):
+                node[key] = made
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+CASES = [(command, path) for command, cls in COMMAND_CONFIGS.items() for path in _declared_paths(cls)]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CASES), value=st.sampled_from(HOSTILE))
+def test_hostile_field_never_tracebacks(tiny_pipeline, tmp_path_factory, capsys, case, value):
+    command, path = case
+    slow = SLOW.get(path[-1])
+    assume(not (slow and isinstance(value, (int, float)) and not isinstance(value, bool) and slow(value)))
+    work = tmp_path_factory.mktemp("hostile")
+    cfg = _write_config(work / "cfg.json", _with(_valid_configs(tiny_pipeline)[command], path, value))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(work / "out")]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_configs_load():
+    # each walkthrough config loads through its command's declared config, so the two cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\nnavrnn (\w+) --config \1", readme, re.S)
+    assert [command for *_, command in blocks] == list(COMMAND_CONFIGS)
+    for _, text, command in blocks:
+        assert isinstance(from_json(COMMAND_CONFIGS[command], json.loads(text), "config"), COMMAND_CONFIGS[command])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from navrnn.cli import main
 from navrnn.errors import CheckpointError, DataError, ValidationError
 from navrnn.flightlog import read_flight_log, read_manifest, read_stream, write_flight_log
-from navrnn.preprocess import build_dataset, clean_log, load_windows, save_windows, unify_rates
+from navrnn.preprocess import Cleanup, build_dataset, clean_log, load_windows, save_windows, unify_rates
 from navrnn.rnn import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
 
@@ -82,7 +82,7 @@ def flying(tmp_path_factory):
     root = tmp_path_factory.mktemp("flying")
     cfg = SynthConfig(duration_s=2.0, profile="circle", seed=3, ground_time_s=0.5, noise=NoiseConfig.low_cost())
     write_flight_log(generate_flight(cfg), root / "log")
-    assert clean_log(root / "log", "log", min_duration_s=0.0).accepted
+    assert clean_log(root / "log", "log", Cleanup(min_duration_s=0.0)).accepted
     return root
 
 
@@ -102,7 +102,7 @@ def _sound(log_dir, name) -> bool:
 def test_corrupt_log_file_cleanup(flying, name, corruption):
     # cleanup never raises on a corrupted file, and rejects a log whose corrupted file is unreadable or unsound
     work = _rewrite(flying / "log", flying / "work_log", LOG_FILES, name, corruption)
-    verdict = clean_log(work, "log", min_duration_s=0.0)
+    verdict = clean_log(work, "log", Cleanup(min_duration_s=0.0))
     if not _sound(work, name):
         assert verdict.reasons == ["validation_defects"]
         assert verdict.post_trim_duration_s is None

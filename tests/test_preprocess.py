@@ -17,8 +17,10 @@ from navrnn.flightlog import (
     write_flight_log,
 )
 from navrnn.preprocess import (
+    Cleanup,
     FeatureAssembler,
     Normalization,
+    Trim,
     build_dataset,
     clean_log,
     compute_signal_weights,
@@ -205,9 +207,9 @@ class TestDifference:
         np.testing.assert_allclose(rebuilt, x, atol=1e-12)
 
 
-def _trim(log, **options):
+def _trim(log, trim=Trim()):
     """The log cropped to its flight span, as cleanup crops an accepted log."""
-    return log.crop(*flight_span(log.ekf, **options))
+    return log.crop(*flight_span(log.ekf, trim))
 
 
 def _span_by_loop(ekf, vel_thresh_mps, hold_s):
@@ -234,7 +236,7 @@ class TestTrim:
         values[:, 0] = 1.0  # unit quaternion
         values[moving, 4:6] = 0.4  # 0.57 m/s north-east while moving, at rest otherwise
         ekf = EkfStream(np.arange(len(moving), dtype=np.int64) * 200_000, values)
-        assert flight_span(ekf, 0.5, hold_s) == _span_by_loop(ekf, 0.5, hold_s)
+        assert flight_span(ekf, Trim(0.5, hold_s)) == _span_by_loop(ekf, 0.5, hold_s)
 
     def test_trim_matches_generator_truth(self):
         cfg = SynthConfig(duration_s=60.0, profile="circle", seed=2, ground_time_s=30.0, ground_drift_mps=0.1)
@@ -247,7 +249,7 @@ class TestTrim:
         log = generate_flight(SynthConfig(duration_s=40.0, profile="circle", seed=1))
         # warp means the first/last samples are at rest; crop those edges off first
         core = log.crop(5_000_000, 35_000_000)
-        trimmed = _trim(core, vel_thresh_mps=0.1)
+        trimmed = _trim(core, Trim(vel_thresh_mps=0.1))
         assert np.array_equal(trimmed.ekf.t_us, core.ekf.t_us)
         assert np.array_equal(trimmed.imu.t_us, core.imu.t_us)
 
@@ -346,7 +348,7 @@ class TestCleanup:
 
     def test_too_short_rejected(self):
         log = generate_flight(SynthConfig(duration_s=30.0, profile="circle", seed=4))
-        verdict = detect_corrupted(log, min_duration_s=60.0)
+        verdict = detect_corrupted(log, Cleanup(min_duration_s=60.0))
         assert not verdict.accepted
         assert verdict.reasons == ["too_short"]
 
@@ -421,16 +423,14 @@ class TestCleanup:
         assert opened == ["ekf.csv"]
 
     def test_huge_hold_time_finds_no_takeoff(self, airborne_log):
-        assert detect_corrupted(airborne_log, hold_s=1e308).reasons == ["no_takeoff"]
+        assert detect_corrupted(airborne_log, Cleanup(trim=Trim(hold_s=1e308))).reasons == ["no_takeoff"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("option", ["max_gap_s", "min_duration_s", "vel_thresh_mps", "hold_s"])
-    def test_bad_option_is_config_error(self, airborne_log, tmp_path, option, value):
-        # both entry points check the options before they read or judge anything
+    def test_bad_option_is_config_error(self, option, value):
+        # the declaration checks each option, top-level or in the trim, before any log is read
         with pytest.raises(ConfigError, match=option):
-            detect_corrupted(airborne_log, **{option: value})
-        with pytest.raises(ConfigError, match=option):
-            clean_log(tmp_path / "no_such_log", "x", **{option: value})
+            Cleanup(**{option: value}) if option in ("max_gap_s", "min_duration_s") else Cleanup(trim={option: value})
 
 
 class TestWeights:
