@@ -150,11 +150,14 @@ class EkfStream(_Stream):
 STREAMS = {cls.NAME: cls for cls in (ImuStream, BaroStream, MagStream, EkfStream)}
 
 
-def _check_labels(fields: dict) -> None:
-    """ValidationError unless a log's fields name a known vehicle_type and source."""
+def _check_manifest(fields: dict) -> None:
+    """ValidationError unless a log's vehicle_type and source are known and its home_lat_deg is null or in [-90, 90]."""
     for key, known in (("vehicle_type", VEHICLE_TYPES), ("source", SOURCES)):
         if fields[key] not in known:
             raise ValidationError(f"unknown {key} {fields[key]!r}")
+    lat = fields["home_lat_deg"]
+    if lat is not None and (isinstance(lat, bool) or not isinstance(lat, (int, float)) or not abs(lat) <= 90.0):
+        raise ValidationError(f"home_lat_deg must be null or a number in [-90, 90], got {lat!r}")
 
 
 @dataclass
@@ -171,7 +174,7 @@ class FlightLog:
     home_lat_deg: float | None = None
 
     def __post_init__(self):
-        _check_labels(vars(self))
+        _check_manifest(vars(self))
 
     def streams(self):
         return tuple((name, getattr(self, name)) for name in STREAMS)
@@ -333,8 +336,8 @@ def write_flight_log(log: FlightLog, path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> dict:
     """A log directory's FlightLog fields other than its streams, from its
-    manifest.json; a missing or malformed manifest, another schema version or
-    an unknown vehicle type or source raises DataError or ValidationError."""
+    manifest.json; a missing or malformed manifest, another schema version or a
+    field `_check_manifest` refuses raises DataError or ValidationError."""
     root = Path(path)
     manifest = read_json_object(root / "manifest.json")
     version = manifest.get("schema_version")
@@ -343,7 +346,7 @@ def read_manifest(path: str | Path) -> dict:
     defaults = {"log_id": root.name, "vehicle_type": "unknown", "source": "recorded"}
     fields = {key: str(manifest.get(key, default)) for key, default in defaults.items()}
     fields["home_lat_deg"] = manifest.get("home_lat_deg")
-    _check_labels(fields)
+    _check_manifest(fields)
     return fields
 
 

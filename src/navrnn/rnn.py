@@ -233,12 +233,12 @@ def _cell_step(act_name: str, s, off, a, c, c_out, h_out, ig, ca):
     return np.multiply(o, _act(act_name, c, out=ca), out=h_out), c
 
 
-def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, buffers: Buffers | None = None):
+def forward(params: NetworkParams, window: np.ndarray, buffers: Buffers | None = None):
     """Run a batch of windows [B, w, input_size] through the network.
 
     Features must already be normalized. Initial recurrent state is zero for
-    every window. Returns (y_hat [B, out], tape); tape is None when want_tape
-    is False. Work arrays come from `buffers`, or from a fresh set without it.
+    every window. Returns (y_hat [B, out], tape), the tape `backward` reads.
+    Work arrays come from `buffers`, or from a fresh set without it.
     """
     x = np.asarray(window, dtype=params.dtype)
     if x.ndim != 3 or x.shape[2] != params.input_size:
@@ -256,25 +256,21 @@ def forward(params: NetworkParams, window: np.ndarray, want_tape: bool = True, b
     for li, layer in enumerate(params.layers):
         # pre-activation z/2 on the sigmoid columns (exact)
         wx, wh, b = layer.wx * s[0, :, None], layer.wh * s[0, :, None], np.tile(layer.b * s[0], (B, 1))
-        # without a tape one gate block serves every layer, and the outputs alternate between two buffers
-        pre = bufs.take(f"a{li if want_tape else 0}", (w, B, 4 * hs), dt)  # [w, B, 4h]
+        pre = bufs.take(f"a{li}", (w, B, 4 * hs), dt)  # [w, B, 4h]
         np.matmul(seq.reshape(w * B, -1), wx.T, out=pre.reshape(w * B, -1))
-        H = bufs.take(f"h{li if want_tape else li % 2}", (w, B, hs), dt)
-        C = bufs.take(f"c{li}", (w, B, hs), dt) if want_tape else None
-        # zero initial state; without a tape c alternates between hc[2] and hc[1] (in place is slower)
-        h, c, _ = hc = bufs.take("hc", (3, B, hs), dt)
+        H, C = bufs.take(f"h{li}", (w, B, hs), dt), bufs.take(f"c{li}", (w, B, hs), dt)
+        h, c = hc = bufs.take("hc", (2, B, hs), dt)  # zero initial state
         hc.fill(0.0)
         for t in range(w):
             a = pre[t]
             a += b  # per step, while the step's block is in cache
             a += np.matmul(h, wh.T, out=zh)
-            h, c = _cell_step(act_name, s, off, a, c, hc[2 - t % 2] if C is None else C[t], H[t], ig, ca)
-        if want_tape:
-            layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C))
+            h, c = _cell_step(act_name, s, off, a, c, C[t], H[t], ig, ca)
+        layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C))
         seq = H
 
     y = h @ params.dense.w.T + params.dense.b
-    return y, (Tape(params, layer_tapes, y_hat=y, buffers=bufs) if want_tape else None)
+    return y, Tape(params, layer_tapes, y_hat=y, buffers=bufs)
 
 
 class Rolling:
@@ -323,8 +319,8 @@ class Rolling:
 def predict(
     params: NetworkParams, windows: np.ndarray, batch_size: int = 256, buffers: Buffers | None = None
 ) -> np.ndarray:
-    """Tape-free forward over many windows [m, w, in], in fixed-size chunks, on
-    `buffers` (a fresh set without it); `train.fit`'s validation pass.
+    """`forward` over many windows [m, w, in], in fixed-size chunks, on `buffers` (a fresh
+    set without it); `train.fit`'s validation pass, which hands it the training tape's set.
 
     Chunking changes BLAS blocking, so outputs are reproducible only for a
     fixed batch_size. Stride-1 flight inference, online and offline, runs
@@ -335,7 +331,7 @@ def predict(
     bufs = Buffers() if buffers is None else buffers
     for start in range(0, len(windows), batch_size):
         chunk = windows[start : start + batch_size]
-        out[start : start + len(chunk)] = forward(params, chunk, want_tape=False, buffers=bufs)[0]
+        out[start : start + len(chunk)] = forward(params, chunk, buffers=bufs)[0]
     return out
 
 
@@ -521,15 +517,14 @@ def _check_arrays(arrays, cfg: NetworkConfig, path) -> list[dict]:
 
 def _check_meta(meta: dict, cfg: NetworkConfig, path) -> None:
     """Raise CheckpointError unless meta holds what inference reads: a
-    positive int window and period_ms (when present), input_size finite
-    feature means and positive stds, and output_size positive loss weights."""
-    for key in ("window", "feature_mean", "feature_std", "loss_weights"):
+    positive int window and period_ms, input_size finite feature means and
+    positive stds, and output_size positive loss weights."""
+    for key in ("window", "period_ms", "feature_mean", "feature_std", "loss_weights"):
         if key not in meta:
             raise CheckpointError(f"{path}: meta missing {key!r}")
     for key in ("window", "period_ms"):
-        value = meta.get(key, 1)  # period_ms may be absent
-        if type(value) is not int or value < 1:
-            raise CheckpointError(f"{path}: meta {key} must be a positive integer, got {value!r}")
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise CheckpointError(f"{path}: meta {key} must be a positive integer, got {meta[key]!r}")
     for key, size, positive in (
         ("feature_mean", cfg.input_size, False),
         ("feature_std", cfg.input_size, True),
@@ -551,10 +546,10 @@ def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path:
     nothing, for what `load_checkpoint` would refuse.
 
     Params must have cfg's array layout and activation, and meta must carry
-    what inference reads (the window, the feature normalization and the loss
-    weights, see `_check_meta`), so inference is self-contained. Arrays are
-    stored as little-endian float32 (the training precision), so the round
-    trip is bit exact for float32 parameters.
+    what inference reads (the window, the bin period, the feature normalization
+    and the loss weights, see `_check_meta`), so inference is self-contained.
+    Arrays are stored as little-endian float32 (the training precision), so the
+    round trip is bit exact for float32 parameters.
     """
     arrays = _check_arrays([{"name": n, "shape": list(a.shape)} for n, a in params.arrays()], cfg, path)
     if params.input_activation != cfg.input_activation:  # load builds the params with cfg's

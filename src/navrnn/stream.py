@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_fields
 from .flightlog import FlightLog
-from .preprocess import SENSORS, FeatureAssembler, Normalization, WindowedDataset, unify_rates
+from .preprocess import SENSORS, FeatureAssembler, Normalization, unify_rates
 from .rnn import Checkpoint, Rolling
 from .evaluate import predict_increments
 
@@ -32,8 +32,8 @@ _DONE = object()
 
 @dataclass
 class StreamConfig:
-    """Replay settings. The bin period is the checkpoint's `period_ms` (200 ms
-    when its meta has none), so a stream always bins as training did; the
+    """Replay settings. The bin period is the checkpoint's `period_ms`, which
+    every checkpoint stores, so a stream always bins as training did; the
     jitter must stay below half of it, or starting the stream raises
     ConfigError."""
 
@@ -162,13 +162,13 @@ class _ArrayReader:
 
 
 def _bin_period_us(ckpt: Checkpoint, cfg: StreamConfig) -> int:
-    """The checkpoint's bin period in microseconds (200 ms when its meta has none).
+    """The checkpoint's bin period in microseconds.
 
     A bin edge moves by up to the jitter, rounded to whole microseconds as
     the edges are, so jitter of half a period or more could put an edge at
     or before the previous one; that raises ConfigError.
     """
-    period_us = ckpt.meta.get("period_ms", WindowedDataset.period_ms) * 1000
+    period_us = ckpt.meta["period_ms"] * 1000
     if 2 * round(cfg.jitter_ms * 1000.0) >= period_us:
         raise ConfigError(f"jitter_ms {cfg.jitter_ms:g} must be below half the {period_us / 1000:g} ms bin period")
     return period_us

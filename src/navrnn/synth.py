@@ -112,9 +112,11 @@ class SynthConfig:
                 raise ConfigError(f"unknown noise preset {self.noise!r}")
             self.noise = NoiseConfig.low_cost() if self.noise == "low_cost" else NoiseConfig()
         self.noise = from_json(NoiseConfig, self.noise, "noise")
-        check_fields(self, ground_time_s=0, seed=0)
+        check_fields(self, ground_time_s=0, seed=0, ground_drift_mps=0)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
+        if abs(self.home_lat_deg) > 90.0:
+            raise ConfigError(f"home_lat_deg must be in [-90, 90], got {self.home_lat_deg!r}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.vehicle_type not in VEHICLE_TYPES:

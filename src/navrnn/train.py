@@ -45,7 +45,7 @@ class TrainConfig:
     loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights; a mapping builds a LossSpec
 
     def __post_init__(self):
-        check_fields(self, epochs=0, batch_size=1, shuffle_seed=0)
+        check_fields(self, epochs=0, batch_size=1, shuffle_seed=0, early_stop_patience=0)
         if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in self.lr_schedule):
             raise ConfigError(f"each lr_schedule entry must be a [start epoch, rate] pair, got {self.lr_schedule!r}")
         steps = [LrStep(*entry) for entry in self.lr_schedule]
@@ -106,7 +106,7 @@ def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
 
 
 def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int, bufs=None) -> float:
-    """Mean loss over the dataset, from `predict`'s outputs summed chunk by chunk."""
+    """Mean loss over the dataset, from `predict`'s outputs on bufs (fit's set) summed chunk by chunk."""
     y_hat = predict(params, dataset.windows, batch_size, buffers=bufs)
     total = 0.0
     for start in range(0, len(dataset), batch_size):
@@ -129,7 +129,7 @@ def fit(
     With early stopping enabled the parameters from the best validation
     epoch are returned, otherwise the final parameters. Inputs are never
     mutated; identical inputs and seeds give identical outputs. All batches
-    and the validation pass share one `Buffers` set: one tape's memory.
+    and the validation chunks run `forward` on one `Buffers` set: one tape's memory.
 
     To retrain a pretrained checkpoint on a new domain, pass its params as
     init with warm_start=True (recorded in the report): every layer, the

@@ -64,9 +64,9 @@ def test_criterion_1_gradient_correctness():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = loss(forward(params, x, want_tape=False)[0], y, spec)
+                lp = loss(forward(params, x)[0], y, spec)
                 flat[i] = orig - eps
-                lm = loss(forward(params, x, want_tape=False)[0], y, spec)
+                lm = loss(forward(params, x)[0], y, spec)
                 flat[i] = orig
                 g_num[k] = (lp - lm) / (2.0 * eps)
                 k += 1
@@ -413,7 +413,7 @@ def test_criterion_9_transfer(small_ckpt):
     spec = LossSpec(kind="weighted_mae", weights=weights.astype(np.float64))
 
     def val_loss(params):
-        y, _ = forward(params, target_val.windows, want_tape=False)
+        y, _ = forward(params, target_val.windows)
         return loss(y, target_val.labels, spec)
 
     warm = val_loss(ckpt.params)
@@ -482,9 +482,9 @@ def test_criterion_10_determinism(tmp_path_factory):
     ckpt = load_checkpoint(root_a / "model" / "model_final.navc")
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 20, 11)).astype(np.float32)
-    y0, _ = forward(ckpt.params, x, want_tape=False)
+    y0, _ = forward(ckpt.params, x)
     again = load_checkpoint(root_a / "model" / "model_final.navc")
-    y1, _ = forward(again.params, x, want_tape=False)
+    y1, _ = forward(again.params, x)
     round_trip = np.array_equal(y0, y1)
 
     _report(10, identical and ckpt_identical and round_trip,

@@ -1,7 +1,9 @@
+import ast
 import json
 import logging
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import navrnn
 from navrnn import cli, stream
 from navrnn.cli import main
-from navrnn.errors import from_json
+from navrnn.errors import ValidationError, from_json
+from navrnn.flightlog import read_flight_log
+from navrnn.preprocess import clean_log
 from navrnn.rnn import NetworkConfig
 from navrnn.synth import SynthConfig
 
@@ -186,6 +190,22 @@ def test_bad_checkpoint_meta_exits_two(tiny_pipeline, tmp_path, capsys, key, val
     capsys.readouterr()
     assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"meta {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lat", ["abc", 1e300, [1], True], ids=["string", "huge", "array", "bool"])
+def test_bad_home_lat_in_manifest_rejected(tiny_pipeline, tmp_path, capsys, lat):
+    log_id = json.loads((tiny_pipeline / "pre" / "split.json").read_text())["val"][0]
+    log = shutil.copytree(tiny_pipeline / "data" / log_id, tmp_path / log_id)
+    manifest = json.loads((log / "manifest.json").read_text())
+    (log / "manifest.json").write_text(json.dumps({**manifest, "home_lat_deg": lat}))
+    with pytest.raises(ValidationError, match="home_lat_deg"):
+        read_flight_log(log)
+    assert clean_log(log, log_id).reasons == ["validation_defects"]
+    cfg = _write_config(tmp_path / "stream.json", {"checkpoint": str(tiny_pipeline / "model" / "model_final.navc"),
+                                                   "log": str(log)})
+    capsys.readouterr()
+    assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "home_lat_deg" in capsys.readouterr().err
 
 
 def test_stream_jitter_of_half_a_period_exits_one(tiny_pipeline, tmp_path, capsys):
@@ -359,6 +379,9 @@ def _stream_inputs(root: Path, **fields) -> dict:
                                "deadreckon": {"gyro_bias": [float("nan"), 0, 0]}}),
         ("train", lambda root: _train_inputs(root, train={"loss": {"weights": [float("nan")] * 6}})),
         ("synth", lambda root: {"flights": [{"vehicle_type": 3}]}),
+        ("synth", lambda root: {"flights": [{"home_lat_deg": -1e300}]}),
+        ("synth", lambda root: {"flights": [{"ground_drift_mps": -1.0}]}),
+        ("train", lambda root: _train_inputs(root, train={"early_stop_patience": -1})),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -401,6 +424,9 @@ def _stream_inputs(root: Path, **fields) -> dict:
         "eval_nan_gyro_bias",
         "train_nan_loss_weights",
         "synth_integer_vehicle_type",
+        "synth_huge_home_lat",
+        "synth_negative_ground_drift",
+        "train_negative_early_stop_patience",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
@@ -472,6 +498,21 @@ def test_only_synth_imports_scipy():
     code = "import sys, navrnn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_imports_are_stdlib_numpy_scipy_or_navrnn():
+    # the package's only runtime dependencies are numpy and scipy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "navrnn"}
+    for path in sorted(Path(navrnn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]  # a relative import stays inside navrnn
+            else:
+                continue
+            outside = [name for name in names if name.split(".")[0] not in allowed]
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"
 
 
 HOSTILE = [None, True, "x", "", [], [1], {}, {"a": 1}, float("nan"), float("inf"), -1, 0, 2.5, -1e300]

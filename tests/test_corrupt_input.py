@@ -58,7 +58,8 @@ def pristine(tmp_path_factory):
     write_flight_log(flight, root / "log")
     save_windows(build_dataset([unify_rates(flight)], window=2), root / "w.bin")
     cfg = NetworkConfig(recurrent_layers=1, hidden_size=3)
-    meta = {"window": 2, "feature_mean": [0.0] * 11, "feature_std": [1.0] * 11, "loss_weights": [1.0] * 6}
+    meta = {"window": 2, "period_ms": 200, "feature_mean": [0.0] * 11, "feature_std": [1.0] * 11,
+            "loss_weights": [1.0] * 6}
     save_checkpoint(init_params(cfg, seed=0), cfg, meta, root / "m.navc")
     return root
 

@@ -257,7 +257,7 @@ def test_navc_layout(tmp_path):
         dense=DenseParams(_fixed(1, 2, start=3.0), _fixed(1, start=-2.0)),
     )
     cfg = NetworkConfig(recurrent_layers=1, hidden_size=2, input_size=3, output_size=1)
-    meta = {"window": 4, "feature_mean": [0.0] * 3, "feature_std": [1.0] * 3, "loss_weights": [2.0]}
+    meta = {"window": 4, "period_ms": 200, "feature_mean": [0.0] * 3, "feature_std": [1.0] * 3, "loss_weights": [2.0]}
     save_checkpoint(params, cfg, meta, tmp_path / "m.navc")
     data = (tmp_path / "m.navc").read_bytes()
     assert data[:4] == b"NAVC"

@@ -77,9 +77,9 @@ def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, bat
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = loss(forward(params, x, want_tape=False, buffers=buffers)[0], y, spec)
+            lp = loss(forward(params, x, buffers=buffers)[0], y, spec)
             flat[i] = orig - eps
-            lm = loss(forward(params, x, want_tape=False, buffers=buffers)[0], y, spec)
+            lm = loss(forward(params, x, buffers=buffers)[0], y, spec)
             flat[i] = orig
             g_num[k] = (lp - lm) / (2.0 * eps)
             k += 1
@@ -215,10 +215,10 @@ class TestForward:
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=16)
         params = init_params(cfg, seed=1)
         x = rng.standard_normal((30, 11)).astype(np.float32)
-        y1, _ = forward(params, x[None], want_tape=False)
+        y1, _ = forward(params, x[None])
         swapped = x.copy()
         swapped[[5, 20]] = swapped[[20, 5]]
-        y2, _ = forward(params, swapped[None], want_tape=False)
+        y2, _ = forward(params, swapped[None])
         assert not np.array_equal(y1, y2)
 
     def test_batch_rows_identical_for_identical_windows(self, rng):
@@ -226,7 +226,7 @@ class TestForward:
         params = init_params(cfg, seed=1)
         x = rng.standard_normal((5, 11)).astype(np.float32)
         batch = np.broadcast_to(x, (8, 5, 11)).copy()
-        y, _ = forward(params, batch, want_tape=False)
+        y, _ = forward(params, batch)
         for row in y[1:]:
             assert np.array_equal(row, y[0])
 
@@ -237,12 +237,14 @@ class TestForward:
             forward(params, np.zeros((1, 5, 7)))
 
     def test_predict_matches_forward_chunking(self, rng):
-        cfg = NetworkConfig(recurrent_layers=1, hidden_size=8)
+        cfg = NetworkConfig(recurrent_layers=2, hidden_size=8)
         params = init_params(cfg, seed=0)
         x = rng.standard_normal((10, 6, 11)).astype(np.float32)
-        a = predict(params, x, batch_size=4)
-        b = predict(params, x, batch_size=4)
-        assert np.array_equal(a, b)
+        bufs = Buffers()
+        forward(params, rng.standard_normal((16, 6, 11)), buffers=bufs)  # the set already holds a larger tape
+        got = predict(params, x, batch_size=4, buffers=bufs)
+        ref = np.concatenate([forward(params, x[start : start + 4])[0] for start in (0, 4, 8)])  # chunks 4, 4, 2
+        assert got.shape == (10, 6) and got.tobytes() == ref.tobytes()
 
 
 class TestRolling:
@@ -259,7 +261,7 @@ class TestRolling:
         assert all(y is None for y in out[: window - 1])
         got = np.array(out[window - 1 :])
         assert got.shape == (len(rows) - window + 1, 6) and got.dtype == dtype
-        ref = np.array([forward(params, rows[j : j + window][None], want_tape=False)[0][0] for j in range(len(got))])
+        ref = np.array([forward(params, rows[j : j + window][None])[0][0] for j in range(len(got))])
         # the fused [Wx | Wh] GEMM sums in another order: equal to rounding, relative to the output scale
         assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
@@ -367,8 +369,7 @@ class TestBuffers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_reused_set_matches_fresh_bitwise(self, activation, dtype):
-        # the batch grows, then shrinks to a partial batch and to one window;
-        # three layers so the tape-free forward's two output buffers alternate
+        # the batch grows, then shrinks to a partial batch and to one window
         params = init_params(NetworkConfig(recurrent_layers=3, hidden_size=12, input_activation=activation), 4, dtype)
         spec = LossSpec(weights=np.arange(1.0, 7.0))
         rng = np.random.default_rng(5)
@@ -384,8 +385,6 @@ class TestBuffers:
             assert y_buf.tobytes() == y_fresh.tobytes()
             for (name, g), (_, ref) in zip(backward(tape, y, spec).arrays(), g_fresh.arrays()):
                 assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
-            y_free, _ = forward(params, x, want_tape=False, buffers=bufs)
-            assert y_free.tobytes() == y_fresh.tobytes()
 
     def test_next_forward_reuses_the_tape_memory(self, rng):
         params = init_params(NetworkConfig(recurrent_layers=2, hidden_size=8), seed=0)
@@ -465,8 +464,8 @@ class TestCheckpoint:
         params, cfg, meta, path = self._make(tmp_path)
         ckpt = load_checkpoint(path)
         x = rng.standard_normal((4, 15, 11)).astype(np.float32)
-        y0, _ = forward(params, x, want_tape=False)
-        y1, _ = forward(ckpt.params, x, want_tape=False)
+        y0, _ = forward(params, x)
+        y1, _ = forward(ckpt.params, x)
         assert np.array_equal(y0, y1)
         assert ckpt.config == cfg
         assert ckpt.meta["window"] == 15
@@ -592,16 +591,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("window", 0), ("period_ms", 2.5), ("feature_std", [float("nan")] * 11), ("loss_weights", [1.0] * 5)],
-        ids=["zero_window", "float_period_ms", "nan_feature_std", "short_loss_weights"],
+        [("window", 0), ("period_ms", 2.5), ("period_ms", None), ("feature_std", [float("nan")] * 11),
+         ("loss_weights", [1.0] * 5)],
+        ids=["zero_window", "float_period_ms", "no_period_ms", "nan_feature_std", "short_loss_weights"],
     )
     def test_save_refuses_meta_load_rejects(self, tmp_path, key, value):
         params, cfg, meta, path = self._make(tmp_path)
-        self._rewrite_header(path, lambda h: {**h, "meta": {**h["meta"], key: value}})
-        with pytest.raises(CheckpointError, match=f"meta {key}"):
+        bad = {k: v for k, v in meta.items() if k != key} if value is None else {**meta, key: value}  # None: no key
+        match = f"meta missing '{key}'" if value is None else f"meta {key}"
+        self._rewrite_header(path, lambda h: {**h, "meta": bad})
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match=f"meta {key}"):
-            save_checkpoint(params, cfg, {**meta, key: value}, tmp_path / "bad.navc")
+        with pytest.raises(CheckpointError, match=match):
+            save_checkpoint(params, cfg, bad, tmp_path / "bad.navc")
         assert not (tmp_path / "bad.navc").exists()
 
     def test_save_refuses_params_of_another_activation(self, tmp_path):
@@ -620,4 +622,4 @@ class TestCheckpoint:
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=4)
         params = init_params(cfg, seed=0)
         with pytest.raises(CheckpointError, match="feature_mean"):
-            save_checkpoint(params, cfg, {"window": 5}, tmp_path / "bad.navc")
+            save_checkpoint(params, cfg, {"window": 5, "period_ms": 200}, tmp_path / "bad.navc")

@@ -190,12 +190,9 @@ class TestOnlineInference:
 
     def test_period_from_checkpoint(self, small_ckpt):
         ckpt = small_ckpt["ckpt"]
-        for period_ms in (100, None):  # None: a meta without period_ms bins at 200 ms
-            meta = {k: v for k, v in ckpt.meta.items() if k != "period_ms"}
-            if period_ms is not None:
-                meta["period_ms"] = period_ms
-            preds = run_stream(small_ckpt["val_log"], Checkpoint(ckpt.params, ckpt.config, meta), StreamConfig())
-            assert set(np.diff([p.t_us for p in preds])) == {(period_ms or 200) * 1000}
+        meta = {**ckpt.meta, "period_ms": 100}
+        preds = run_stream(small_ckpt["val_log"], Checkpoint(ckpt.params, ckpt.config, meta), StreamConfig())
+        assert set(np.diff([p.t_us for p in preds])) == {100 * 1000}
 
     def test_jitter_below_half_a_period_keeps_edges_increasing(self, small_ckpt):
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(jitter_ms=99.0))

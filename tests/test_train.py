@@ -159,7 +159,7 @@ class TestTransfer:
         def val_loss(params):
             from navrnn.rnn import loss as loss_fn
 
-            y, _ = forward(params, target_val.windows, want_tape=False)
+            y, _ = forward(params, target_val.windows)
             return loss_fn(y, target_val.labels, spec)
 
         warm = val_loss(trained)
