@@ -162,6 +162,7 @@ def test_stream_command(tiny_pipeline, monkeypatch):
     assert main(["stream", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "compare_report.json").read_text())
     assert report["bitwise_equal"] is True
+    assert report["dropped"] == {}  # the closed loop reads the log without queues
     lines = (out / "online_predictions.csv").read_text().splitlines()
     assert lines[0].startswith("t_us,dpn")
     assert len(lines) > 10
