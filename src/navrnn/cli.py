@@ -17,6 +17,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -231,6 +232,7 @@ def cmd_eval(args) -> int:
     all_metrics = []
     baseline_metrics = [] if run_baseline else None
     for entry in entries:
+        t0 = time.perf_counter()
         verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, config)
         if not verdict.accepted:  # cleanup has logged why
             continue
@@ -243,6 +245,8 @@ def cmd_eval(args) -> int:
             baseline_metrics.append(
                 evaluate.baseline_flight_metrics(verdict.trimmed, series, ckpt.meta["window"], config.deadreckon)
             )
+        dr = f", dead reckoning MPE {baseline_metrics[-1].mpe_m:.3f} m" if run_baseline else ""
+        log.info("eval %s: MPE %.3f m%s, %.2f s", entry.log_id, m.mpe_m, dr, time.perf_counter() - t0)
     if not all_metrics:
         raise DataError("every selected log was rejected by cleanup")
 
@@ -288,10 +292,9 @@ def cmd_stream(args) -> int:
     )
     report = stream.compare_online_offline(flight, ckpt, predictions)
     write_json(report, out / "compare_report.json")
-    print(
-        f"stream: {len(predictions)} predictions, max offline deviation "
-        f"{max(report['max_abs_dev']):.3g} -> {out}"
-    )
+    off = f" (estimator times up to {report['grid_offset_us'] / 1000:g} ms off the bin grid)"
+    print(f"stream: {len(predictions)} predictions, max offline deviation {max(report['max_abs_dev']):.3g}"
+          f"{off if report['grid_offset_us'] else ''} -> {out}")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from .deadreckon import DeadReckonConfig, NavState, dead_reckon
 from .errors import DataError
 from .flightlog import FlightLog, write_json, write_table
 from .preprocess import Normalization, UnifiedSeries
-from .rnn import Checkpoint, Rolling
+from .rnn import Checkpoint, lockstep
 
 
 def reconstruct_path(
@@ -130,17 +130,12 @@ def predict_increments(ckpt: Checkpoint, series: UnifiedSeries, batch_size: int 
     """Predict the per-step increments for every window position of a flight.
 
     Windows take the checkpoint's window size at stride 1, and features are
-    normalized with its stored statistics. The rows go one at a time through
-    an `rnn.Rolling`, as in the stream, so the two agree bit for bit.
+    normalized with its stored statistics. `rnn.lockstep` advances them together
+    with the stream's `rnn.Rolling` arithmetic, so the two agree bit for bit.
     batch_size has no effect; it is accepted for callers that still pass it.
     """
-    window = ckpt.meta["window"]
     norm = Normalization(mean=ckpt.meta["feature_mean"], std=ckpt.meta["feature_std"])
-    n_labels = len(series.labels)
-    if n_labels < window:
-        raise DataError(f"flight too short: {n_labels} steps < window {window}")
-    rolling = Rolling(ckpt.params, window)
-    return np.array([rolling.push(row) for row in norm.apply(series.features[:n_labels])][window - 1 :])
+    return lockstep(ckpt.params, norm.apply(series.features[: len(series.labels)]), ckpt.meta["window"])
 
 
 def evaluate_flight(ckpt: Checkpoint, series: UnifiedSeries) -> FlightMetrics:

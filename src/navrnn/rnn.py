@@ -38,6 +38,7 @@ ACTIVATIONS = ("tanh", "relu", "sigmoid")
 CHECKPOINT_MAGIC = b"NAVC"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_HEAD = "<2I"  # version, length of the JSON header that follows
+LOCKSTEP_ROWS = 512  # most windows `lockstep` advances at once: its `Rolling` stays under 20 MB at 4×200
 
 
 @dataclass
@@ -279,10 +280,10 @@ class Rolling:
 
     Their states are one [w, in + L·h] matrix laid out [x | h_0 | h_1 | ...]
     and a [L, w, h] cell array; window j owns slot j mod w, zeroed as it
-    starts. Per layer a push runs one GEMM of the layer's [input | h] columns
-    against its fused [Wx | Wh]; the cell step writes h into the columns the
-    next layer reads. The same rows give the same bits whoever pushes them;
-    `forward` agrees to rounding only (the fused GEMM sums in another order)."""
+    starts. Per layer a step (`_advance`, shared with `lockstep`) runs one GEMM of the layer's
+    [input | h] columns against its fused [Wx | Wh]; the cell step writes h into the columns the
+    next layer reads. The same rows give the same bits whoever pushes them, and `lockstep` gives
+    them too; `forward` agrees to rounding only (the fused GEMM sums in another order)."""
 
     def __init__(self, params: NetworkParams, window: int):
         hs, n_in, dt = params.hidden_size, params.input_size, params.dtype
@@ -298,22 +299,41 @@ class Rolling:
         self.cells = np.zeros((len(params.layers), window, hs), dtype=dt)
         self.z, (self.ig, self.ca) = np.empty((window, 4 * hs), dt), np.empty((2, window, hs), dt)
 
+    def _advance(self, x: np.ndarray) -> None:  # one step of every slot on input x: [in], or [slots, in]
+        X, act, hs = self.state, self.params.input_activation, self.params.hidden_size
+        X[:, : self.params.input_size] = x
+        for (lo, hi, wt, b), c in zip(self.layers, self.cells):
+            z = np.matmul(X[:, lo:hi], wt, out=self.z)
+            z += b
+            _cell_step(act, self.s, self.off, z, c, c, X[:, hi - hs : hi], self.ig, self.ca)
+
     def push(self, row: np.ndarray) -> np.ndarray | None:
         """Advance every window in flight by one normalized row [input_size]; return
         the output [out] of the window it completes (None until the first one)."""
         X, p, hs = self.state, self.params, self.params.hidden_size
         slot = self.rows % self.window  # the window that starts at this row
-        X[slot, p.input_size :] = 0.0
-        self.cells[:, slot] = 0.0
-        X[:, : p.input_size] = row
-        for (lo, hi, wt, b), c in zip(self.layers, self.cells):
-            z = np.matmul(X[:, lo:hi], wt, out=self.z)
-            z += b
-            _cell_step(p.input_activation, self.s, self.off, z, c, c, X[:, hi - hs : hi], self.ig, self.ca)
-        self.rows += 1
-        if self.rows < self.window:
-            return None
-        return X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b  # slot of window rows - w, now complete
+        X[slot, p.input_size :], self.cells[:, slot] = 0.0, 0.0
+        self._advance(row)
+        self.rows += 1  # then the slot of window rows - w is complete
+        return None if self.rows < self.window else X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b
+
+
+def lockstep(params: NetworkParams, rows: np.ndarray, window: int) -> np.ndarray:
+    """Every stride-1 window's output [N - w + 1, out] for normalized rows [N, in], bit for bit what `Rolling.push`
+    returns: up to LOCKSTEP_ROWS windows, the slots of one `Rolling`, take their w steps together. That needs BLAS to
+    give a GEMM row the same bits at any row count of 2 or more: OpenBLAS does in float32, the checkpoints' dtype."""
+    n_win = len(rows) - window + 1
+    if n_win < 1:
+        raise DataError(f"flight too short: {len(rows)} steps < window {window}")
+    g = 1 if window == 1 else max(-(-n_win // -(-n_win // LOCKSTEP_ROWS)), 2)  # equal blocks; 1 row would go to gemv
+    x = np.vstack([rows, np.zeros((g, params.input_size), rows.dtype)])  # the last block's spare slots read zeros
+    block, out = Rolling(params, g), []
+    for start in range(0, n_win, g):
+        block.state[:], block.cells[:] = 0.0, 0.0  # a zero state for the block's windows
+        for t in range(window):
+            block._advance(x[start + t : start + t + g])
+        out += [h @ params.dense.w.T + params.dense.b for h in block.state[: n_win - start, -params.hidden_size :]]
+    return np.array(out)
 
 
 def predict(
@@ -323,8 +343,8 @@ def predict(
     set without it); `train.fit`'s validation pass, which hands it the training tape's set.
 
     Chunking changes BLAS blocking, so outputs are reproducible only for a
-    fixed batch_size. Stride-1 flight inference, online and offline, runs
-    through `Rolling` instead, which gives both the same bits.
+    fixed batch_size. Stride-1 flight inference runs through `Rolling` online
+    and `lockstep` offline instead, which give the same bits.
     """
     windows = np.asarray(windows)
     out = np.empty((len(windows), params.output_size), dtype=params.dtype)

@@ -272,9 +272,9 @@ def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[Onli
 def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[OnlinePrediction]) -> dict:
     """Diff a log's online predictions against the batch path.
 
-    The offline reference pushes the same rows through the same `Rolling`,
-    so both sides execute identical arithmetic; with zero jitter the
-    deviations are exactly zero."""
+    The offline reference runs the same rows through `rnn.lockstep`, which gives `Rolling`'s
+    bits, so at zero jitter the deviations are exactly zero if the offline bins, which end at the
+    estimator timestamps, are the stream's; `grid_offset_us` is the largest distance between them."""
     series = unify_rates(log)
     offline = predict_increments(ckpt, series)
     online_arr = np.array([p.increment for p in predictions], dtype=np.float64)
@@ -283,8 +283,10 @@ def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[O
     if n == 0:
         raise DataError("no overlapping predictions to compare")
     dev = np.abs(online_arr[:n] - offline_arr[:n])
+    k = np.arange(1, n + ckpt.meta["window"])  # the compared windows' rows, which end at grid edges k
     return {
         "n_compared": int(n),
+        "grid_offset_us": int(np.max(np.abs(series.t_us[k - 1] - log.ekf.t_us[0] - k * ckpt.meta["period_ms"] * 1000))),
         "n_online": int(len(online_arr)),
         "n_offline": int(len(offline_arr)),
         "max_abs_dev": [float(v) for v in dev.max(axis=0)],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,8 @@ from .rnn import (
     loss,
     predict,
 )
+
+log = logging.getLogger(__name__)
 
 DEFAULT_LR_SCHEDULE = ((0, 0.005), (51, 0.0025), (101, 0.001))
 
@@ -190,6 +193,8 @@ def fit(
         report.val_loss.append(float(val_loss))
         report.lr.append(lr)
         report.wall_time_s.append(time.perf_counter() - t0)
+        log.info("epoch %d: lr %g, train loss %.6g, val loss %.6g, %.2f s",
+                 epoch, lr, epoch_loss, val_loss, report.wall_time_s[-1])
 
         if cfg.early_stop_patience > 0 and since_best >= cfg.early_stop_patience:
             report.stopped_early = True

@@ -321,6 +321,47 @@ def test_eval_warns_once_per_rejected_log(tiny_pipeline, tmp_path, caplog):
     assert sum("circle_000002" in m and "too_short" in m for m in warnings) == 1
 
 
+def _train_and_eval(root: Path, out: Path, epochs: int, run) -> None:
+    """Run `train` for epochs on root's windows, then `eval --baseline` of its model on root's split, under out."""
+    train_cfg = json.loads((root / "train.json").read_text())
+    train_cfg["train"]["epochs"] = epochs
+    run(["train", "--config", _write_config(out / "train.json", train_cfg), "--out", str(out / "model")])
+    eval_cfg = {"checkpoint": str(out / "model" / "model_final.navc"), "dataset": str(root / "data"),
+                "split": str(root / "pre" / "split.json"), "min_duration_s": 30.0}
+    run(["eval", "--config", _write_config(out / "eval.json", eval_cfg), "--out", str(out / "eval"), "--baseline"])
+
+
+def test_info_logs_each_epoch_and_flight(tiny_pipeline, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="navrnn")
+    _train_and_eval(tiny_pipeline, tmp_path, 3, lambda argv: main(argv) == 0 or pytest.fail(f"{argv[0]} failed"))
+    epochs = [r.getMessage() for r in caplog.records if r.name == "navrnn.train"]
+    assert [m.split(":")[0] for m in epochs] == ["epoch 0", "epoch 1", "epoch 2"]
+    assert all(re.fullmatch(r"epoch \d: lr \S+, train loss \S+, val loss \S+, \d+\.\d\d s", m) for m in epochs), epochs
+    flights = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval ")]
+    metrics = {p.stem: json.loads(p.read_text()) for p in (tmp_path / "eval" / "metrics").glob("*.json")}
+    assert sorted(m.split(":")[0][5:] for m in flights) == sorted(metrics) and metrics
+    for m in flights:
+        log_id = m.split(":")[0][5:]
+        assert f"MPE {metrics[log_id]['mpe_m']:.3f} m, dead reckoning MPE " in m and m.endswith(" s")
+
+
+@pytest.mark.parametrize("level", ["WARNING", "INFO"])
+def test_progress_lines_only_at_info(tiny_pipeline, tmp_path, level):
+    src = str(Path(navrnn.__file__).resolve().parent.parent)
+    env = dict(os.environ, NAV_LOG_LEVEL=level,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    stderr = []
+
+    def run(argv):
+        done = subprocess.run([sys.executable, "-m", "navrnn.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        stderr.append(done.stderr)
+
+    _train_and_eval(tiny_pipeline, tmp_path, 2, run)
+    progress = [line for err in stderr for line in err.splitlines() if ":epoch " in line or ":eval " in line]
+    assert len(progress) == (0 if level == "WARNING" else 2 + len(list((tmp_path / "eval" / "metrics").glob("*.json"))))
+
+
 def _model_inputs(root: Path) -> dict:
     return {"checkpoint": str(root / "model" / "model_final.navc"), "dataset": str(root / "data")}
 

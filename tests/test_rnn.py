@@ -10,6 +10,7 @@ from navrnn.cli import main
 from navrnn.errors import CheckpointError, ConfigError, DataError
 from navrnn.rnn import (
     ACTIVATIONS,
+    LOCKSTEP_ROWS,
     AdamState,
     Buffers,
     LayerParams,
@@ -21,6 +22,7 @@ from navrnn.rnn import (
     forward,
     init_params,
     load_checkpoint,
+    lockstep,
     loss,
     predict,
     save_checkpoint,
@@ -264,6 +266,56 @@ class TestRolling:
         ref = np.array([forward(params, rows[j : j + window][None])[0][0] for j in range(len(got))])
         # the fused [Wx | Wh] GEMM sums in another order: equal to rounding, relative to the output scale
         assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def _pushed(params, rows, window):
+    """What `Rolling.push` returns for rows, from the first completed window on."""
+    rolling = Rolling(params, window)
+    return np.array([rolling.push(row) for row in rows][window - 1 :])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("window", [1, 2, 5, 50])
+    def test_bitwise_equal_to_rolling(self, rng, dtype, activation, layers, window):
+        cfg = NetworkConfig(recurrent_layers=layers, hidden_size=16, input_activation=activation)
+        params = init_params(cfg, seed=4, dtype=dtype)
+        # one window, two, and a block of windows one short of, at and one past LOCKSTEP_ROWS
+        for n in (window, window + 1, window + LOCKSTEP_ROWS - 2, window + LOCKSTEP_ROWS - 1, window + LOCKSTEP_ROWS):
+            rows = rng.standard_normal((n, 11)).astype(np.float32)
+            got, ref = lockstep(params, rows, window), _pushed(params, rows, window)
+            assert got.shape == ref.shape == (n - window + 1, 6) and got.dtype == dtype
+            assert got.tobytes() == ref.tobytes(), f"{n} rows"
+
+    def test_bitwise_equal_at_paper_shape(self, rng):
+        params = init_params(NetworkConfig(recurrent_layers=4, hidden_size=200), seed=1)
+        rows = rng.standard_normal((203, 11)).astype(np.float32)
+        assert lockstep(params, rows, 200).tobytes() == _pushed(params, rows, 200).tobytes()
+
+    @pytest.mark.parametrize("dtype, hidden", [(np.float32, 16), (np.float32, 64), (np.float32, 200),
+                                               (np.float64, 16), (np.float64, 64)])
+    @pytest.mark.parametrize("first_layer", [True, False])
+    def test_blas_gemm_row_bits_do_not_depend_on_row_count(self, rng, dtype, hidden, first_layer):
+        # lockstep's bit identity with Rolling rests on this: the fused GEMM of a state's [input | h]
+        # columns gives a row the same bits whatever the row count (2 or more) and the row's place.
+        # Not in float64 at h = 200: OpenBLAS's small-matrix kernel takes 2 or 3 rows there.
+        k, n = (11 if first_layer else hidden) + hidden, 4 * hidden
+        state = rng.standard_normal((LOCKSTEP_ROWS + 3, k + 5)).astype(dtype)
+        wt = rng.standard_normal((k, n)).astype(dtype)
+        full = np.matmul(state[:, 3 : 3 + k], wt)
+        for m in (2, 3, 7, 50, 200, LOCKSTEP_ROWS):
+            for at in (0, 1, len(state) - m):
+                part = np.matmul(state[at : at + m, 3 : 3 + k], wt, out=np.empty((m, n), dtype))
+                assert part.tobytes() == full[at : at + m].tobytes(), (
+                    f"BLAS gives a [{k}, {n}] GEMM row other bits at {m} rows from row {at}: lockstep no longer "
+                    "reproduces Rolling bit for bit")
+
+    def test_too_few_rows_raise(self, rng):
+        params = init_params(NetworkConfig(recurrent_layers=1, hidden_size=8), seed=0)
+        with pytest.raises(DataError, match="too short"):
+            lockstep(params, rng.standard_normal((4, 11)), 5)
 
 
 class TestLoss:

@@ -102,6 +102,17 @@ class TestOnlineInference:
         assert report["dropped_samples"] == 0
         assert max(report["max_abs_dev"]) == 0.0
 
+    @pytest.mark.parametrize("shift_us", [0, 90_000])
+    def test_report_names_the_grid_offset(self, small_ckpt, shift_us):
+        # estimator timestamps after the first moved off the stream's anchor + k·period grid: the offline
+        # bins end elsewhere than the stream's, and the report says by how much
+        log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
+        ekf_t = log.ekf.t_us + np.where(np.arange(len(log.ekf)) > 0, shift_us, 0)
+        log = replace(log, ekf=EkfStream(ekf_t, log.ekf.values))
+        report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
+        assert report["grid_offset_us"] == shift_us
+        assert report["bitwise_equal"] is (shift_us == 0)
+
     def test_jitter_deviation_bounded_and_deterministic(self, small_ckpt):
         cfg = StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=5)
         log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
