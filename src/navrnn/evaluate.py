@@ -19,7 +19,7 @@ from .deadreckon import DeadReckonConfig, NavState, dead_reckon
 from .errors import DataError
 from .flightlog import FlightLog, write_json, write_table
 from .preprocess import Normalization, UnifiedSeries
-from .rnn import Checkpoint, lockstep
+from .rnn import Checkpoint, predict
 
 
 def reconstruct_path(
@@ -130,12 +130,17 @@ def predict_increments(ckpt: Checkpoint, series: UnifiedSeries, batch_size: int 
     """Predict the per-step increments for every window position of a flight.
 
     Windows take the checkpoint's window size at stride 1, and features are
-    normalized with its stored statistics. `rnn.lockstep` advances them together
-    with the stream's `rnn.Rolling` arithmetic, so the two agree bit for bit.
-    batch_size has no effect; it is accepted for callers that still pass it.
+    normalized with its stored statistics. `rnn.predict` runs them, as a view
+    of the rows (no copy), with the stream's `rnn.Rolling` arithmetic, so the
+    two agree bit for bit. batch_size has no effect; it is accepted for callers
+    that still pass it.
     """
+    w = ckpt.meta["window"]
+    if len(series.labels) < w:
+        raise DataError(f"flight too short: {len(series.labels)} steps < window {w}")
     norm = Normalization(mean=ckpt.meta["feature_mean"], std=ckpt.meta["feature_std"])
-    return lockstep(ckpt.params, norm.apply(series.features[: len(series.labels)]), ckpt.meta["window"])
+    rows = norm.apply(series.features[: len(series.labels)])
+    return predict(ckpt.params, np.lib.stride_tricks.sliding_window_view(rows, w, axis=0).transpose(0, 2, 1))
 
 
 def evaluate_flight(ckpt: Checkpoint, series: UnifiedSeries) -> FlightMetrics:

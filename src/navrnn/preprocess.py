@@ -383,6 +383,9 @@ def build_dataset(
         raise DataError("empty series list")
     if window < 1 or stride < 1:
         raise ConfigError("window and stride must be >= 1")
+    for s in series_list:
+        if len(s.labels) < window:
+            raise DataError(f"{s.log_id}: series too short: {len(s.labels)} labels < window {window}")
     period_ms = round(float(np.median(np.concatenate([np.diff(s.t_us) for s in series_list]))) / 1000.0)
     if period_ms < 1:
         raise DataError(f"series rows are {period_ms} ms apart; a period needs at least 1 ms")
@@ -390,10 +393,7 @@ def build_dataset(
     w = weights if weights is not None else compute_signal_weights(np.vstack([s.labels for s in series_list]))
     views, labels = [], []
     for s in series_list:
-        n_labels = len(s.labels)
-        if n_labels < window:
-            raise DataError(f"{s.log_id}: series too short: {n_labels} labels < window {window}")
-        rows = norm.apply(s.features[:n_labels])
+        rows = norm.apply(s.features[: len(s.labels)])
         views.append(np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[::stride].transpose(0, 2, 1))
         labels.append(s.labels[window - 1 :: stride])
     windows = np.empty((sum(map(len, views)), *views[0].shape[1:]), dtype=np.float32)

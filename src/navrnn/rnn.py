@@ -38,7 +38,7 @@ ACTIVATIONS = ("tanh", "relu", "sigmoid")
 CHECKPOINT_MAGIC = b"NAVC"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_HEAD = "<2I"  # version, length of the JSON header that follows
-LOCKSTEP_ROWS = 512  # most windows `lockstep` advances at once: its `Rolling` stays under 20 MB at 4×200
+LOCKSTEP_ROWS = 512  # most windows `predict` advances at once: its `Rolling` stays under 20 MB at 4×200
 
 
 @dataclass
@@ -176,7 +176,7 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
 
 
 class Buffers(dict):
-    """Named work arrays that forward and backward reuse from call to call.
+    """Named work arrays that training's forward and backward reuse from batch to batch.
 
     Each name owns one flat byte buffer, grown on demand and never shrunk; an array is carved from its
     front, so every batch size gets a contiguous view. A tape made from a set is valid until the next
@@ -239,7 +239,8 @@ def forward(params: NetworkParams, window: np.ndarray, buffers: Buffers | None =
 
     Features must already be normalized. Initial recurrent state is zero for
     every window. Returns (y_hat [B, out], tape), the tape `backward` reads.
-    Work arrays come from `buffers`, or from a fresh set without it.
+    Work arrays come from `buffers`, or from a fresh set without it. This is
+    training's pass; inference without a tape is `predict`.
     """
     x = np.asarray(window, dtype=params.dtype)
     if x.ndim != 3 or x.shape[2] != params.input_size:
@@ -280,9 +281,9 @@ class Rolling:
 
     Their states are one [w, in + L·h] matrix laid out [x | h_0 | h_1 | ...]
     and a [L, w, h] cell array; window j owns slot j mod w, zeroed as it
-    starts. Per layer a step (`_advance`, shared with `lockstep`) runs one GEMM of the layer's
+    starts. Per layer a step (`_advance`, shared with `predict`) runs one GEMM of the layer's
     [input | h] columns against its fused [Wx | Wh]; the cell step writes h into the columns the
-    next layer reads. The same rows give the same bits whoever pushes them, and `lockstep` gives
+    next layer reads. The same rows give the same bits whoever pushes them, and `predict` gives
     them too; `forward` agrees to rounding only (the fused GEMM sums in another order)."""
 
     def __init__(self, params: NetworkParams, window: int):
@@ -299,9 +300,9 @@ class Rolling:
         self.cells = np.zeros((len(params.layers), window, hs), dtype=dt)
         self.z, (self.ig, self.ca) = np.empty((window, 4 * hs), dt), np.empty((2, window, hs), dt)
 
-    def _advance(self, x: np.ndarray) -> None:  # one step of every slot on input x: [in], or [slots, in]
+    def _advance(self, x: np.ndarray, n: int | None = None) -> None:  # one step of slots [:n] on x: [in], or [n, in]
         X, act, hs = self.state, self.params.input_activation, self.params.hidden_size
-        X[:, : self.params.input_size] = x
+        X[:n, : self.params.input_size] = x
         for (lo, hi, wt, b), c in zip(self.layers, self.cells):
             z = np.matmul(X[:, lo:hi], wt, out=self.z)
             z += b
@@ -318,40 +319,29 @@ class Rolling:
         return None if self.rows < self.window else X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b
 
 
-def lockstep(params: NetworkParams, rows: np.ndarray, window: int) -> np.ndarray:
-    """Every stride-1 window's output [N - w + 1, out] for normalized rows [N, in], bit for bit what `Rolling.push`
-    returns: up to LOCKSTEP_ROWS windows, the slots of one `Rolling`, take their w steps together. That needs BLAS to
-    give a GEMM row the same bits at any row count of 2 or more: OpenBLAS does in float32, the checkpoints' dtype."""
-    n_win = len(rows) - window + 1
-    if n_win < 1:
-        raise DataError(f"flight too short: {len(rows)} steps < window {window}")
-    g = 1 if window == 1 else max(-(-n_win // -(-n_win // LOCKSTEP_ROWS)), 2)  # equal blocks; 1 row would go to gemv
-    x = np.vstack([rows, np.zeros((g, params.input_size), rows.dtype)])  # the last block's spare slots read zeros
-    block, out = Rolling(params, g), []
-    for start in range(0, n_win, g):
-        block.state[:], block.cells[:] = 0.0, 0.0  # a zero state for the block's windows
-        for t in range(window):
-            block._advance(x[start + t : start + t + g])
-        out += [h @ params.dense.w.T + params.dense.b for h in block.state[: n_win - start, -params.hidden_size :]]
-    return np.array(out)
+def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = LOCKSTEP_ROWS) -> np.ndarray:
+    """Outputs [m, out] of windows [m, w, in], each run from a zero state: the one forward-only path.
 
-
-def predict(
-    params: NetworkParams, windows: np.ndarray, batch_size: int = 256, buffers: Buffers | None = None
-) -> np.ndarray:
-    """`forward` over many windows [m, w, in], in fixed-size chunks, on `buffers` (a fresh
-    set without it); `train.fit`'s validation pass, which hands it the training tape's set.
-
-    Chunking changes BLAS blocking, so outputs are reproducible only for a
-    fixed batch_size. Stride-1 flight inference runs through `Rolling` online
-    and `lockstep` offline instead, which give the same bits.
+    Up to batch_size windows, the slots of one `Rolling`, take their w steps together (`_advance`), in equal
+    blocks; the last block's spare slots read zeros. Each output is the 1-D `h @ W.T + b` of `Rolling.push`, so
+    a window gives `push`'s bits. That needs BLAS to give a GEMM row the same bits at any row count of 2 or more
+    (OpenBLAS does in float32, the checkpoints' dtype), so a block has 2 slots or more, and 1 at w = 1 as
+    `Rolling` has. A strided view (a flight's stride-1 windows) is read step by step, never copied whole.
     """
-    windows = np.asarray(windows)
-    out = np.empty((len(windows), params.output_size), dtype=params.dtype)
-    bufs = Buffers() if buffers is None else buffers
-    for start in range(0, len(windows), batch_size):
-        chunk = windows[start : start + batch_size]
-        out[start : start + len(chunk)] = forward(params, chunk, buffers=bufs)[0]
+    x = np.asarray(windows)
+    if x.ndim != 3 or x.shape[2] != params.input_size:
+        raise DataError(f"window batch shape {x.shape} is not [B, w, {params.input_size}]")
+    (m, w, _), hs = x.shape, params.hidden_size
+    out = np.empty((m, params.output_size), dtype=params.dtype)
+    g = 1 if w == 1 else max(-(-m // max(-(-m // batch_size), 1)), 2)  # 1 row would go to gemv
+    block = Rolling(params, g)
+    for start in range(0, m, g):
+        n = min(g, m - start)
+        block.state[:], block.cells[:] = 0.0, 0.0  # a zero state, and zero input in the spare slots
+        for t in range(w):
+            block._advance(x[start : start + n, t], n)
+        for j, h in enumerate(block.state[:n, -hs:]):
+            out[start + j] = h @ params.dense.w.T + params.dense.b
     return out
 
 

@@ -272,7 +272,7 @@ def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[Onli
 def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[OnlinePrediction]) -> dict:
     """Diff a log's online predictions against the batch path.
 
-    The offline reference runs the same rows through `rnn.lockstep`, which gives `Rolling`'s
+    The offline reference runs the same rows' windows through `rnn.predict`, which gives `Rolling`'s
     bits, so at zero jitter the deviations are exactly zero if the offline bins, which end at the
     estimator timestamps, are the stream's; `grid_offset_us` is the largest distance between them."""
     series = unify_rates(log)

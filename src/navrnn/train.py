@@ -108,14 +108,9 @@ def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
     return cfg.loss
 
 
-def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec, batch_size: int, bufs=None) -> float:
-    """Mean loss over the dataset, from `predict`'s outputs on bufs (fit's set) summed chunk by chunk."""
-    y_hat = predict(params, dataset.windows, batch_size, buffers=bufs)
-    total = 0.0
-    for start in range(0, len(dataset), batch_size):
-        yb = dataset.labels[start : start + batch_size]
-        total += loss(y_hat[start : start + batch_size], yb, spec) * len(yb)
-    return total / max(len(dataset), 1)
+def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec) -> float:
+    """Mean loss over the dataset, from `predict`: the inference the eval and the stream run."""
+    return loss(predict(params, dataset.windows), dataset.labels, spec)
 
 
 def fit(
@@ -132,7 +127,8 @@ def fit(
     With early stopping enabled the parameters from the best validation
     epoch are returned, otherwise the final parameters. Inputs are never
     mutated; identical inputs and seeds give identical outputs. All batches
-    and the validation chunks run `forward` on one `Buffers` set: one tape's memory.
+    run `forward` on one `Buffers` set: one tape's memory. The validation loss
+    comes from `predict`, the path eval and the stream run.
 
     To retrain a pretrained checkpoint on a new domain, pass its params as
     init with warm_start=True (recorded in the report): every layer, the
@@ -141,11 +137,12 @@ def fit(
     """
     if len(dataset) == 0:
         raise DataError("training dataset is empty")
-    if dataset.windows.shape[2] != init.input_size or dataset.labels.shape[1] != init.output_size:
-        raise ConfigError(
-            f"dataset input/output size {dataset.windows.shape[2]}/{dataset.labels.shape[1]} does not match "
-            f"network input/output size {init.input_size}/{init.output_size}"
-        )
+    for name, ds in (("dataset", dataset), ("validation set", val)):
+        if ds is not None and (ds.windows.shape[2] != init.input_size or ds.labels.shape[1] != init.output_size):
+            raise ConfigError(
+                f"{name} input/output size {ds.windows.shape[2]}/{ds.labels.shape[1]} does not match "
+                f"network input/output size {init.input_size}/{init.output_size}"
+            )
     spec = _resolve_loss(cfg, dataset)
     params = init.copy()
     state = AdamState.zeros_like(params)
@@ -180,7 +177,7 @@ def fit(
 
         val_loss = float("nan")
         if val is not None and len(val) > 0:
-            val_loss = _dataset_loss(params, val, spec, cfg.batch_size, bufs)
+            val_loss = _dataset_loss(params, val, spec)
             if val_loss < best_val:
                 best_val = val_loss
                 best_params = params.copy()

@@ -7,10 +7,11 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from navrnn import cli, stream
 from navrnn.cli import main
 from navrnn.errors import ValidationError, from_json
 from navrnn.flightlog import read_flight_log
-from navrnn.preprocess import clean_log
+from navrnn.preprocess import Normalization, clean_log, load_windows, save_windows
 from navrnn.rnn import NetworkConfig
 from navrnn.synth import SynthConfig
 
@@ -515,6 +516,24 @@ def test_train_loss_from_config(tiny_pipeline, tmp_path, kind, code):
         },
     )
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == code
+
+
+@pytest.mark.parametrize("width", ["features", "labels"])
+def test_validation_set_of_wrong_width_exits_one(tiny_pipeline, tmp_path, capsys, width):
+    val = load_windows(tiny_pipeline / "pre" / "val_windows.bin")
+    if width == "features":
+        norm = Normalization(mean=val.normalization.mean[:7], std=val.normalization.std[:7])
+        val = replace(val, windows=np.ascontiguousarray(val.windows[:, :, :7]), normalization=norm)
+    else:
+        val = replace(val, labels=np.ascontiguousarray(val.labels[:, :4]), weights=val.weights[:4])
+    save_windows(val, tmp_path / "val_windows.bin")
+    cfg = _write_config(tmp_path / "train.json", _train_inputs(
+        tiny_pipeline, val_windows=str(tmp_path / "val_windows.bin"), network={"recurrent_layers": 1, "hidden_size": 8},
+        train={"epochs": 1, "batch_size": 128}))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "validation set" in err and "Traceback" not in err
 
 
 def test_split_without_val_exits_two(tiny_pipeline, tmp_path):

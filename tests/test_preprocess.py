@@ -21,6 +21,7 @@ from navrnn.preprocess import (
     FeatureAssembler,
     Normalization,
     Trim,
+    UnifiedSeries,
     build_dataset,
     clean_log,
     compute_signal_weights,
@@ -493,6 +494,13 @@ class TestWindows:
         series = unify_rates(noisy_logs[0])
         with pytest.raises(DataError):
             build_dataset([series], window=len(series.labels) + 1)
+
+    def test_one_row_series_too_short(self, noisy_logs):
+        # one row, no label and no row step: the length check comes before the corpus period
+        s = unify_rates(noisy_logs[0])
+        one = UnifiedSeries(s.t_us[:1], s.features[:1], s.labels[:0], s.state_pos[:1], s.state_vel[:1], log_id="one")
+        with pytest.raises(DataError, match="one: series too short: 0 labels"):
+            build_dataset([one, one], window=1)
 
     def test_normalization_applied(self, noisy_logs):
         series = unify_rates(noisy_logs[0])

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from navrnn.cli import main
 from navrnn.errors import CheckpointError, ConfigError, DataError
+from navrnn.preprocess import build_dataset, unify_rates
 from navrnn.rnn import (
     ACTIVATIONS,
     LOCKSTEP_ROWS,
@@ -22,7 +23,6 @@ from navrnn.rnn import (
     forward,
     init_params,
     load_checkpoint,
-    lockstep,
     loss,
     predict,
     save_checkpoint,
@@ -242,11 +242,12 @@ class TestForward:
         cfg = NetworkConfig(recurrent_layers=2, hidden_size=8)
         params = init_params(cfg, seed=0)
         x = rng.standard_normal((10, 6, 11)).astype(np.float32)
-        bufs = Buffers()
-        forward(params, rng.standard_normal((16, 6, 11)), buffers=bufs)  # the set already holds a larger tape
-        got = predict(params, x, batch_size=4, buffers=bufs)
-        ref = np.concatenate([forward(params, x[start : start + 4])[0] for start in (0, 4, 8)])  # chunks 4, 4, 2
-        assert got.shape == (10, 6) and got.tobytes() == ref.tobytes()
+        got = predict(params, x, batch_size=4)  # blocks of 4, 4 and 2 windows, the last with 2 spare slots
+        assert got.shape == (10, 6) and got.dtype == np.float32
+        assert got.tobytes() == np.concatenate([_pushed(params, window, 6) for window in x]).tobytes()
+        ref = np.concatenate([forward(params, x[start : start + 4])[0] for start in (0, 4, 8)])
+        # the fused [Wx | Wh] GEMM sums in another order: equal to rounding, relative to the output scale
+        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 class TestRolling:
@@ -274,7 +275,14 @@ def _pushed(params, rows, window):
     return np.array([rolling.push(row) for row in rows][window - 1 :])
 
 
+def _stride_view(rows, window, stride=1):
+    """The [m, window, in] windows of rows at a stride, as a view: what eval and `build_dataset` window."""
+    return np.lib.stride_tricks.sliding_window_view(rows, window, axis=0)[::stride].transpose(0, 2, 1)
+
+
 class TestLockstep:
+    """`predict` advances its windows in lockstep, the slots of one `Rolling`, and gives `push`'s bits."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("layers", [1, 2, 4])
@@ -285,20 +293,31 @@ class TestLockstep:
         # one window, two, and a block of windows one short of, at and one past LOCKSTEP_ROWS
         for n in (window, window + 1, window + LOCKSTEP_ROWS - 2, window + LOCKSTEP_ROWS - 1, window + LOCKSTEP_ROWS):
             rows = rng.standard_normal((n, 11)).astype(np.float32)
-            got, ref = lockstep(params, rows, window), _pushed(params, rows, window)
+            got, ref = predict(params, _stride_view(rows, window)), _pushed(params, rows, window)
             assert got.shape == ref.shape == (n - window + 1, 6) and got.dtype == dtype
             assert got.tobytes() == ref.tobytes(), f"{n} rows"
 
     def test_bitwise_equal_at_paper_shape(self, rng):
         params = init_params(NetworkConfig(recurrent_layers=4, hidden_size=200), seed=1)
         rows = rng.standard_normal((203, 11)).astype(np.float32)
-        assert lockstep(params, rows, 200).tobytes() == _pushed(params, rows, 200).tobytes()
+        assert predict(params, _stride_view(rows, 200)).tobytes() == _pushed(params, rows, 200).tobytes()
+
+    @pytest.mark.parametrize("window", [1, 20])
+    def test_dataset_windows_bitwise_equal_to_rolling(self, noisy_logs, window):
+        # stride-4 windows as training's validation set holds them: copied, C-contiguous float32
+        ds = build_dataset([unify_rates(log) for log in noisy_logs[:2]], window=window, stride=4)
+        params = init_params(NetworkConfig(recurrent_layers=2, hidden_size=16), seed=2)
+        ref = np.concatenate([_pushed(params, w, window) for w in ds.windows])
+        for batch_size in (1, 7, LOCKSTEP_ROWS):
+            assert predict(params, ds.windows, batch_size=batch_size).tobytes() == ref.tobytes(), batch_size
+        rows = ds.normalization.apply(unify_rates(noisy_logs[0]).features)  # and the strided view of one flight
+        assert predict(params, _stride_view(rows, window, 4)).tobytes() == _pushed(params, rows, window)[::4].tobytes()
 
     @pytest.mark.parametrize("dtype, hidden", [(np.float32, 16), (np.float32, 64), (np.float32, 200),
                                                (np.float64, 16), (np.float64, 64)])
     @pytest.mark.parametrize("first_layer", [True, False])
     def test_blas_gemm_row_bits_do_not_depend_on_row_count(self, rng, dtype, hidden, first_layer):
-        # lockstep's bit identity with Rolling rests on this: the fused GEMM of a state's [input | h]
+        # predict's bit identity with Rolling rests on this: the fused GEMM of a state's [input | h]
         # columns gives a row the same bits whatever the row count (2 or more) and the row's place.
         # Not in float64 at h = 200: OpenBLAS's small-matrix kernel takes 2 or 3 rows there.
         k, n = (11 if first_layer else hidden) + hidden, 4 * hidden
@@ -309,13 +328,16 @@ class TestLockstep:
             for at in (0, 1, len(state) - m):
                 part = np.matmul(state[at : at + m, 3 : 3 + k], wt, out=np.empty((m, n), dtype))
                 assert part.tobytes() == full[at : at + m].tobytes(), (
-                    f"BLAS gives a [{k}, {n}] GEMM row other bits at {m} rows from row {at}: lockstep no longer "
+                    f"BLAS gives a [{k}, {n}] GEMM row other bits at {m} rows from row {at}: predict no longer "
                     "reproduces Rolling bit for bit")
 
-    def test_too_few_rows_raise(self, rng):
+    def test_no_windows_and_wrong_width(self, rng):
         params = init_params(NetworkConfig(recurrent_layers=1, hidden_size=8), seed=0)
-        with pytest.raises(DataError, match="too short"):
-            lockstep(params, rng.standard_normal((4, 11)), 5)
+        assert predict(params, np.zeros((0, 5, 11))).shape == (0, 6)
+        with pytest.raises(DataError):
+            predict(params, rng.standard_normal((3, 5, 7)))
+        with pytest.raises(DataError):
+            predict(params, rng.standard_normal((5, 11)))
 
 
 class TestLoss:

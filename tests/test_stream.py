@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from navrnn.errors import ConfigError
 from navrnn.evaluate import predict_increments
 from navrnn.flightlog import BaroStream, EkfStream, FlightLog, ImuStream, MagStream
-from navrnn.preprocess import SENSORS, FeatureAssembler, unify_rates
-from navrnn.rnn import Checkpoint
+from navrnn.preprocess import SENSORS, FeatureAssembler, Normalization, unify_rates
+from navrnn.rnn import Checkpoint, Rolling
 from navrnn.stream import (
     _DONE,
     SensorQueue,
@@ -368,10 +368,12 @@ class TestBinningPaths:
 
 class TestOfflineParity:
     def test_offline_reference_matches_predict_increments(self, small_ckpt):
-        series = unify_rates(small_ckpt["val_log"])
-        a = predict_increments(small_ckpt["ckpt"], series, batch_size=1)
-        b = predict_increments(small_ckpt["ckpt"], series, batch_size=1)
-        assert np.array_equal(a, b)
+        ckpt, series = small_ckpt["ckpt"], unify_rates(small_ckpt["val_log"])
+        norm = Normalization(mean=ckpt.meta["feature_mean"], std=ckpt.meta["feature_std"])
+        rolling = Rolling(ckpt.params, ckpt.meta["window"])
+        pushed = [rolling.push(row) for row in norm.apply(series.features[: len(series.labels)])]
+        got = predict_increments(ckpt, series, batch_size=1)
+        assert got.tobytes() == np.array(pushed[ckpt.meta["window"] - 1 :]).tobytes()
 
     def test_stream_equals_default_predict_increments(self, small_ckpt):
         log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]

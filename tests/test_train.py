@@ -109,7 +109,7 @@ class TestFit:
         from navrnn.train import _dataset_loss
 
         spec = LossSpec(kind="weighted_mae", weights=ds.weights.astype(np.float64))
-        got = _dataset_loss(params, val, spec, tcfg.batch_size)
+        got = _dataset_loss(params, val, spec)
         assert got == pytest.approx(report.val_loss[report.best_epoch], rel=1e-6)
 
     def test_divergence_guard(self, rng):
@@ -125,6 +125,13 @@ class TestFit:
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=8, input_size=11)
         with pytest.raises(ConfigError):
             fit(ds, None, TrainConfig(epochs=1), init_params(cfg, seed=0))
+
+    @pytest.mark.parametrize("in_size, out_size", [(7, 6), (11, 4)])
+    def test_validation_shape_mismatch(self, rng, in_size, out_size):
+        val = _toy_dataset(rng, in_size=in_size, out_size=out_size)
+        cfg = NetworkConfig(recurrent_layers=1, hidden_size=8, input_size=11)
+        with pytest.raises(ConfigError, match="validation set"):
+            fit(_toy_dataset(rng), val, TrainConfig(epochs=1), init_params(cfg, seed=0))
 
 
 class TestTransfer:
@@ -181,10 +188,11 @@ def test_report_round_trip(tmp_path):
 def test_fit_holds_one_tape(rng):
     """fit's traced peak stays within one tape plus backward's per-step scratch.
 
-    Every batch, the partial last one and the validation pass reuse one set
-    of work arrays, and backward writes its gradients into the tape; a
-    previous batch's tape kept alive, or a [w, B, ·] gradient buffer beside
-    the tape (the input gradient alone is ~80 KB here), breaks the bound.
+    Every batch and the partial last one reuse one set of work arrays, and
+    backward writes its gradients into the tape; the validation pass runs
+    `predict`, whose [B, ·] step state is far smaller than the tape. A previous
+    batch's tape kept alive, or a [w, B, ·] gradient buffer beside the tape
+    (the input gradient alone is ~80 KB here), breaks the bound.
     """
     layers, hs, w, batch, n_in = 2, 16, 20, 64, 11
     train_ds, val_ds = _toy_dataset(rng, m=200, w=w), _toy_dataset(rng, m=70, w=w)
