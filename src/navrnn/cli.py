@@ -236,7 +236,7 @@ def cmd_eval(args) -> int:
         verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, config)
         if not verdict.accepted:  # cleanup has logged why
             continue
-        series = preprocess.unify_rates(verdict.trimmed)
+        series = preprocess.unify_rates(verdict.trimmed, ckpt.meta["period_ms"])
         m = evaluate.evaluate_flight(ckpt, series)
         m.save(metrics_dir / f"{entry.log_id}.json")
         m.write_path_compare(out / f"path_compare_{entry.log_id}.csv")
@@ -292,9 +292,7 @@ def cmd_stream(args) -> int:
     )
     report = stream.compare_online_offline(flight, ckpt, predictions)
     write_json(report, out / "compare_report.json")
-    off = f" (estimator times up to {report['grid_offset_us'] / 1000:g} ms off the bin grid)"
-    print(f"stream: {len(predictions)} predictions, max offline deviation {max(report['max_abs_dev']):.3g}"
-          f"{off if report['grid_offset_us'] else ''} -> {out}")
+    print(f"stream: {len(predictions)} predictions, max offline deviation {max(report['max_abs_dev']):.3g} -> {out}")
     return EXIT_OK
 
 

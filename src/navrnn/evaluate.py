@@ -100,13 +100,10 @@ class FlightMetrics:
 
 
 def _metrics_from_series(
-    log_id: str,
-    t_us: np.ndarray,
-    true_pos: np.ndarray,
-    true_vel: np.ndarray,
-    pred_pos: np.ndarray,
-    pred_vel: np.ndarray,
+    log_id: str, series: UnifiedSeries, start: int, pred_pos: np.ndarray, pred_vel: np.ndarray
 ) -> FlightMetrics:
+    """Metrics of a path predicted for rows start on of series, against its estimator states there."""
+    t_us, true_pos, true_vel = series.t_us[start:], series.state_pos[start:], series.state_vel[start:]
     duration_min = float(t_us[-1] - t_us[0]) * 1e-6 / 60.0
     mpe = compute_mpe(pred_pos, true_pos)
     return FlightMetrics(
@@ -155,10 +152,7 @@ def evaluate_flight(ckpt: Checkpoint, series: UnifiedSeries) -> FlightMetrics:
     pred_pos, pred_vel = reconstruct_path(
         increments, (series.state_pos[start], series.state_vel[start])
     )
-    idx = np.arange(start, start + len(increments) + 1)
-    true_pos = series.state_pos[idx]
-    true_vel = series.state_vel[idx]
-    return _metrics_from_series(series.log_id, series.t_us[idx], true_pos, true_vel, pred_pos, pred_vel)
+    return _metrics_from_series(series.log_id, series, start, pred_pos, pred_vel)
 
 
 def baseline_flight_metrics(
@@ -168,28 +162,21 @@ def baseline_flight_metrics(
 
     series is unify_rates(log). The integrator starts from the true state
     at the first prediction time, so both estimators get identical initial
-    conditions.
+    conditions; its attitude is the last estimator sample at or before that
+    time, which on the bin grid is the sample at it.
     """
     if len(series.labels) < window:
         raise DataError(f"flight too short: {len(series.labels)} steps < window {window}")
     start = window - 1
     init = NavState(
-        quat=log.ekf.quat[start + 1].copy(),  # unified row r carries the estimator sample r+1
+        quat=log.ekf.quat[np.searchsorted(log.ekf.t_us, series.t_us[start], side="right") - 1].copy(),
         vel_ned=series.state_vel[start].copy(),
         pos_ned=series.state_pos[start].copy(),
         t_us=int(series.t_us[start]),
     )
     traj = dead_reckon(log, cfg or DeadReckonConfig(), init=init)
-    t_eval = series.t_us[start:]
-    _, vel, pos = traj.sample_at(t_eval)
-    return _metrics_from_series(
-        log.log_id + "/deadreckon",
-        t_eval,
-        series.state_pos[start:],
-        series.state_vel[start:],
-        pos,
-        vel,
-    )
+    _, vel, pos = traj.sample_at(series.t_us[start:])
+    return _metrics_from_series(log.log_id + "/deadreckon", series, start, pos, vel)
 
 
 def aggregate_metrics(metrics: list[FlightMetrics]) -> dict:

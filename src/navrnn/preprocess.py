@@ -1,12 +1,13 @@
 """Preprocessing: raw flight logs to training-ready windowed datasets.
 
-Sensor streams are averaged between consecutive estimator outputs to unify
-all rates to the 5 Hz label rate; barometric altitude is differenced and
-temperature passed through; labels are per-step increments of the estimator
-state. Ground time is trimmed with a velocity-hysteresis detector. Fixed-
-length windows with z-scored features feed the network; `build_dataset` is
-the only code that cuts them, and the NAVW windows file goes through
-flightlog's binary codec. Raw measurements are never filtered.
+Sensor streams are averaged over the real-time stream's bins, which end at
+`t0 + k·period` (t0 the first estimator output, the period the 5 Hz label
+step); barometric altitude is differenced and temperature passed through;
+labels are the estimator state's increments between bin edges. Ground time
+is trimmed with a velocity-hysteresis detector. Fixed-length windows with
+z-scored features feed the network; `build_dataset` is the only code that
+cuts them, and the NAVW windows file goes through flightlog's binary codec.
+Raw measurements are never filtered.
 
 The cleanup verdict is decided here alone, by one staged check shared by
 `clean_log` (a log directory) and `detect_corrupted` (a log in memory). It
@@ -53,10 +54,10 @@ WINDOWS_HEAD = "<5I"  # version, window count, window length, feature count, lab
 class UnifiedSeries:
     """5 Hz aligned feature/label table for one flight.
 
-    Row k holds the sensor averages over the k-th inter-estimator interval
-    and is stamped with the interval's end time; label k is the estimator
-    state increment over the interval that follows row k. A series with n
-    rows therefore carries n-1 labels.
+    Row k holds the sensor averages over the k-th bin of unify_rates' grid
+    and is stamped with the bin's end edge, where state_pos/state_vel hold
+    the estimator state; label k is the state increment over the bin that
+    follows row k. A series with n rows therefore carries n-1 labels.
     """
 
     t_us: np.ndarray
@@ -153,34 +154,39 @@ class FeatureAssembler:
         return means, empty
 
 
-def unify_rates(log: FlightLog) -> UnifiedSeries:
-    """Average every sensor stream between consecutive estimator outputs.
+def unify_rates(log: FlightLog, period_ms: int | None = None) -> UnifiedSeries:
+    """Average every sensor stream over the stream's bins, which end at
+    t0 + k·period (t0 the first estimator time) up to the last estimator
+    time; period_ms defaults to the median estimator step in whole ms, and
+    one below 1 ms or longer than the log is a DataError.
 
-    Each interval (t_{k}, t_{k+1}] between estimator samples becomes one
-    feature row, built by a FeatureAssembler fed the whole log. An interval
-    with no inertial samples is a hard error; empty barometer/magnetometer
-    intervals reuse the previous value and are counted in the carried-bin
-    fields.
+    The rows come from a FeatureAssembler fed the whole log; the states are
+    the estimator's, np.interp'd at the edges, so on the grid its samples. A
+    bin with no inertial samples is a hard error; empty barometer/magnetometer
+    bins reuse the previous value and are counted in the carried-bin fields.
     """
-    t_edges = log.ekf.t_us
-    n = len(t_edges) - 1
-    if n < 1:
+    t_ekf = log.ekf.t_us
+    if len(t_ekf) < 2:
         raise DataError("need at least two estimator samples")
-    assembler = FeatureAssembler(t_edges[0])
+    period_ms = round(float(np.median(np.diff(t_ekf))) / 1000.0) if period_ms is None else period_ms
+    if period_ms < 1 or t_ekf[-1] - t_ekf[0] < period_ms * 1000:
+        raise DataError(f"a {period_ms} ms bin period needs at least 1 ms and one period of estimator samples")
+    edges = t_ekf[0] + period_ms * 1000 * np.arange(1, (t_ekf[-1] - t_ekf[0]) // (period_ms * 1000) + 1)
+    assembler = FeatureAssembler(t_ekf[0])
     for sensor in SENSORS:
         stream = getattr(log, sensor)
         assembler.add(sensor, stream.t_us, stream.values)
-    features, empty = assembler.close(t_edges[1:])
-    if len(features) < n:
+    features, empty = assembler.close(edges)
+    if len(features) < len(edges):
         raise DataError("a sensor stream has no samples")
     if empty["imu"].any():
-        raise EmptyBinError(f"imu: {int(empty['imu'].sum())} estimator interval(s) without samples")
+        raise EmptyBinError(f"imu: {int(empty['imu'].sum())} bin(s) without samples")
 
-    state_pos = log.ekf.pos_ned[1:]
-    state_vel = log.ekf.vel_ned[1:]
+    state_pos, state_vel = (np.column_stack([np.interp(edges, t_ekf, col) for col in values.T])
+                            for values in (log.ekf.pos_ned, log.ekf.vel_ned))
     labels = np.hstack([np.diff(state_pos, axis=0), np.diff(state_vel, axis=0)])
     return UnifiedSeries(
-        t_us=t_edges[1:].copy(),
+        t_us=edges,
         features=features,
         labels=labels,
         state_pos=state_pos,
@@ -331,6 +337,9 @@ class Normalization:
     def apply(self, features: np.ndarray) -> np.ndarray:
         rows = np.asarray(features, dtype=np.float32)
         return (rows - self.mean) / self.std
+
+    def __eq__(self, other) -> bool:  # the same statistics, bit for bit
+        return self.mean.tobytes() == other.mean.tobytes() and self.std.tobytes() == other.std.tobytes()
 
 
 def fit_normalization(series_list: list[UnifiedSeries]) -> Normalization:

@@ -112,29 +112,40 @@ def _edges(anchor_us: int, period_us: int, cfg: StreamConfig):
         yield anchor_us + k * period_us + jitter_us
 
 
+class _ArrayReader:
+    """Hands out a sensor stream's samples up to each bin edge: the closed loop's, producers' and queues' cut."""
+
+    def __init__(self, samples):
+        self.t_us, self.values, self.pos = samples.t_us, samples.values, 0
+
+    def take(self, edge: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        i = self.pos
+        self.pos = max(i, int(np.searchsorted(self.t_us, edge, side="right")))
+        return self.t_us[i : self.pos], self.values[i : self.pos], self.pos == len(self.t_us)
+
+
 def replay(log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue]) -> list[threading.Thread]:
     """Start one producer thread per sensor stream, then take the pacing
     origin and release them with it; returns the started threads. A producer
-    waits for its queue's bin grid, then at each edge's due time puts its
-    samples in (previous edge, edge] as one chunk, until its last sample is
-    out, then _DONE."""
+    waits for its queue's bin grid, then at each edge's due time puts what
+    its `_ArrayReader` takes up to the edge as one chunk, until its last
+    sample is out, then _DONE."""
     t0 = int(min(log.imu.t_us[0], log.baro.t_us[0], log.mag.t_us[0]))
     speed, released = cfg.replay_speed, threading.Event()
 
-    def produce(samples, q: SensorQueue):
-        t_us, start = samples.t_us, 0
+    def produce(reader: _ArrayReader, q: SensorQueue):
         released.wait()  # origin is set by then
         for edge in _edges(*q.bins.result()):
             if speed > 0 and (delay := origin + (edge - t0) * 1e-6 / speed - time.perf_counter()) > 0:
                 time.sleep(delay)
-            end = int(np.searchsorted(t_us, edge, side="right"))
-            q.put((edge, t_us[start:end], samples.values[start:end]))
-            if (start := end) == len(t_us):
+            t_us, values, done = reader.take(edge)
+            q.put((edge, t_us, values))
+            if done:
                 break
         q.put(_DONE)
 
-    threads = [threading.Thread(target=produce, args=(getattr(log, n), queues[n]), name=f"replay-{n}", daemon=True)
-               for n in SENSORS]
+    threads = [threading.Thread(target=produce, args=(_ArrayReader(getattr(log, n)), queues[n]),
+                                name=f"replay-{n}", daemon=True) for n in SENSORS]
     for th in threads:
         th.start()
     origin = time.perf_counter()
@@ -142,18 +153,18 @@ def replay(log: FlightLog, cfg: StreamConfig, queues: dict[str, SensorQueue]) ->
     return threads
 
 
-class _QueueReader:
+class _QueueReader(_ArrayReader):
     """Reads one sensor queue's chunks up to a bin edge: blocks until it holds
     a chunk whose watermark reaches the edge, or the stream has ended, and
-    keeps the samples past the edge for the next call."""
+    cuts them with `_ArrayReader.take`, which keeps the rest for the next call."""
 
     def __init__(self, name: str, q: SensorQueue, timeout: float):
         self.name, self.q, self.timeout = name, q, timeout
         self.mark = -np.inf  # watermark of the last chunk read; infinite once the stream has ended
-        self.t_us, self.values = np.empty(0, dtype=np.int64), np.empty((0, SENSORS[name]))  # read past the last edge
+        self.t_us, self.values, self.pos = np.empty(0, dtype=np.int64), np.empty((0, SENSORS[name])), 0
 
     def take(self, edge: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        t_parts, v_parts = [self.t_us], [self.values]
+        t_parts, v_parts = [self.t_us[self.pos :]], [self.values[self.pos :]]
         while self.mark < edge:
             try:
                 item = self.q.get(timeout=self.timeout)
@@ -165,22 +176,9 @@ class _QueueReader:
                 self.mark = item[0]
                 t_parts.append(item[1])
                 v_parts.append(item[2])
-        t_us, values = np.concatenate(t_parts), np.concatenate(v_parts)
-        n = int(np.searchsorted(t_us, edge, side="right"))
-        self.t_us, self.values = t_us[n:], values[n:]
-        return t_us[:n], values[:n], self.mark == np.inf and n == len(t_us)
-
-
-class _ArrayReader:
-    """Hands out one sensor stream's logged samples up to each bin edge."""
-
-    def __init__(self, samples):
-        self.t_us, self.values, self.pos = samples.t_us, samples.values, 0
-
-    def take(self, edge: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        i = self.pos
-        self.pos = max(i, int(np.searchsorted(self.t_us, edge, side="right")))
-        return self.t_us[i : self.pos], self.values[i : self.pos], self.pos == len(self.t_us)
+        self.t_us, self.values, self.pos = np.concatenate(t_parts), np.concatenate(v_parts), 0
+        t_us, values, done = super().take(edge)
+        return t_us, values, done and self.mark == np.inf
 
 
 def _bin_period_us(ckpt: Checkpoint, cfg: StreamConfig) -> int:
@@ -272,21 +270,17 @@ def run_stream(log: FlightLog, ckpt: Checkpoint, cfg: StreamConfig) -> list[Onli
 def compare_online_offline(log: FlightLog, ckpt: Checkpoint, predictions: list[OnlinePrediction]) -> dict:
     """Diff a log's online predictions against the batch path.
 
-    The offline reference runs the same rows' windows through `rnn.predict`, which gives `Rolling`'s
-    bits, so at zero jitter the deviations are exactly zero if the offline bins, which end at the
-    estimator timestamps, are the stream's; `grid_offset_us` is the largest distance between them."""
-    series = unify_rates(log)
-    offline = predict_increments(ckpt, series)
+    The offline reference unifies the log at the checkpoint's period, so its bins end at the stream's
+    edges `anchor + k·period` wherever the estimator timestamps lie, and runs the windows through
+    `rnn.predict`, which gives `Rolling`'s bits: at zero jitter the deviations are exactly zero."""
     online_arr = np.array([p.increment for p in predictions], dtype=np.float64)
-    offline_arr = offline.astype(np.float64)
+    offline_arr = predict_increments(ckpt, unify_rates(log, ckpt.meta["period_ms"])).astype(np.float64)
     n = min(len(online_arr), len(offline_arr))
     if n == 0:
         raise DataError("no overlapping predictions to compare")
     dev = np.abs(online_arr[:n] - offline_arr[:n])
-    k = np.arange(1, n + ckpt.meta["window"])  # the compared windows' rows, which end at grid edges k
     return {
         "n_compared": int(n),
-        "grid_offset_us": int(np.max(np.abs(series.t_us[k - 1] - log.ekf.t_us[0] - k * ckpt.meta["period_ms"] * 1000))),
         "n_online": int(len(online_arr)),
         "n_offline": int(len(offline_arr)),
         "max_abs_dev": [float(v) for v in dev.max(axis=0)],

@@ -128,7 +128,8 @@ def fit(
     epoch are returned, otherwise the final parameters. Inputs are never
     mutated; identical inputs and seeds give identical outputs. All batches
     run `forward` on one `Buffers` set: one tape's memory. The validation loss
-    comes from `predict`, the path eval and the stream run.
+    comes from `predict`, the path eval and the stream run; a validation set
+    must share the training set's window size, normalization and period.
 
     To retrain a pretrained checkpoint on a new domain, pass its params as
     init with warm_start=True (recorded in the report): every layer, the
@@ -143,6 +144,9 @@ def fit(
                 f"{name} input/output size {ds.windows.shape[2]}/{ds.labels.shape[1]} does not match "
                 f"network input/output size {init.input_size}/{init.output_size}"
             )
+    if val is not None and (differ := [key for key in ("window_size", "normalization", "period_ms")
+                                       if getattr(val, key) != getattr(dataset, key)]):
+        raise ConfigError(f"validation set differs from the training set in {', '.join(differ)}")
     spec = _resolve_loss(cfg, dataset)
     params = init.copy()
     state = AdamState.zeros_like(params)

@@ -20,7 +20,7 @@ import navrnn
 from navrnn import cli, stream
 from navrnn.cli import main
 from navrnn.errors import ValidationError, from_json
-from navrnn.flightlog import read_flight_log
+from navrnn.flightlog import EkfStream, read_flight_log, write_flight_log
 from navrnn.preprocess import Normalization, clean_log, load_windows, save_windows
 from navrnn.rnn import NetworkConfig
 from navrnn.synth import SynthConfig
@@ -534,6 +534,41 @@ def test_validation_set_of_wrong_width_exits_one(tiny_pipeline, tmp_path, capsys
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "validation set" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["window_size", "normalization", "period_ms"])
+def test_mismatched_validation_set_exits_one(tiny_pipeline, tmp_path, capsys, field):
+    # a validation set cut at another window, normalised otherwise or binned at another period
+    val = load_windows(tiny_pipeline / "pre" / "val_windows.bin")
+    if field == "window_size":
+        val = replace(val, windows=np.ascontiguousarray(val.windows[:, -10:]), window_size=10)
+    elif field == "normalization":
+        val = replace(val, normalization=Normalization(mean=val.normalization.mean + 1, std=val.normalization.std))
+    else:
+        val = replace(val, period_ms=100)
+    save_windows(val, tmp_path / "val_windows.bin")
+    cfg = _write_config(tmp_path / "train.json", _train_inputs(
+        tiny_pipeline, val_windows=str(tmp_path / "val_windows.bin"), network={"recurrent_layers": 1, "hidden_size": 8},
+        train={"epochs": 1, "batch_size": 128}))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"validation set differs from the training set in {field}" in err
+    assert "Traceback" not in err and not (tmp_path / "model" / "model_best.navc").exists()
+
+
+def test_stream_off_grid_log(tiny_pipeline, tmp_path):
+    # a log whose estimator timestamps after the first are 90 ms late: the zero-jitter stream
+    # still gives the offline bits, and the report names no grid of its own
+    flight = read_flight_log(_stream_inputs(tiny_pipeline)["log"])
+    ekf_t = flight.ekf.t_us + np.where(np.arange(len(flight.ekf)) > 0, 90_000, 0)
+    write_flight_log(replace(flight, ekf=EkfStream(ekf_t, flight.ekf.values)), tmp_path / "log")
+    cfg = _write_config(tmp_path / "stream.json", {**_stream_inputs(tiny_pipeline), "log": str(tmp_path / "log")})
+    assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "compare_report.json").read_text())
+    assert report["bitwise_equal"] is True
+    assert set(report) == {"n_compared", "n_online", "n_offline", "max_abs_dev", "mean_abs_dev", "bitwise_equal",
+                           "dropped_samples", "dropped"}
 
 
 def test_split_without_val_exits_two(tiny_pipeline, tmp_path):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navrnn import evaluate
 from navrnn.errors import DataError
 from navrnn.evaluate import (
     aggregate_metrics,
@@ -13,6 +16,7 @@ from navrnn.evaluate import (
     predict_increments,
     reconstruct_path,
 )
+from navrnn.flightlog import EkfStream
 from navrnn.preprocess import unify_rates
 from navrnn.rnn import Checkpoint
 from oracles import difference
@@ -121,6 +125,23 @@ class TestEvaluateFlight:
         m = evaluate_flight(small_ckpt["ckpt"], series)
         b = baseline_flight_metrics(log, series, small_ckpt["window"])
         assert m.mpe_m < b.mpe_m
+
+    def test_baseline_attitude_is_the_last_estimator_sample_at_the_start(self, small_ckpt, monkeypatch):
+        # row w-1 ends at estimator sample w on the grid; with the estimator 90 ms late, sample w
+        # comes after that edge, so the integrator starts from sample w-1
+        log, w = small_ckpt["val_log"], small_ckpt["window"]
+        starts = []
+        dead_reckon = evaluate.dead_reckon
+        monkeypatch.setattr(evaluate, "dead_reckon",
+                            lambda *args, init: starts.append(init) or dead_reckon(*args, init=init))
+        for shift_us in (0, 90_000):
+            ekf_t = log.ekf.t_us + np.where(np.arange(len(log.ekf)) > 0, shift_us, 0)
+            moved = replace(log, ekf=EkfStream(ekf_t, log.ekf.values))
+            series = unify_rates(moved, 200)
+            baseline_flight_metrics(moved, series, w)
+            assert starts[-1].t_us == series.t_us[w - 1] == log.ekf.t_us[w]
+        assert np.array_equal(starts[0].quat, log.ekf.quat[w])
+        assert np.array_equal(starts[1].quat, log.ekf.quat[w - 1])
 
     def test_metric_fields_consistent(self, small_ckpt):
         m = evaluate_flight(small_ckpt["ckpt"], unify_rates(small_ckpt["val_log"]))

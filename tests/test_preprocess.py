@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navrnn.errors import ConfigError, DataError, EmptyBinError, ValidationError
@@ -181,6 +181,69 @@ class TestUnifyRates:
         expected = np.hstack([np.diff(log.ekf.pos_ned[1:], axis=0), np.diff(log.ekf.vel_ned[1:], axis=0)])
         np.testing.assert_array_equal(series.labels, expected)
         assert series.t_us[0] == log.ekf.t_us[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(period_ms=st.sampled_from([100, 200]), spread=st.floats(0.0, 0.45), seed=st.integers(0, 2**32 - 1))
+    @example(period_ms=200, spread=0.0, seed=0)
+    def test_bins_end_on_the_anchor_grid(self, noisy_logs, period_ms, spread, seed):
+        # estimator times after the first moved by up to ±45% of their 200 ms step: the bins
+        # still end at t0 + k·period, and the states are the estimator's interpolated there
+        log = noisy_logs[1].crop(0, 20_000_000)
+        offsets = np.round(np.random.default_rng(seed).uniform(-spread, spread, len(log.ekf)) * 200_000)
+        offsets[0] = 0
+        log = replace(log, ekf=EkfStream(log.ekf.t_us + offsets.astype(np.int64), log.ekf.values))
+        t = log.ekf.t_us
+        edges = [int(t[0]) + period_ms * 1000]
+        while edges[-1] + period_ms * 1000 <= t[-1]:
+            edges.append(edges[-1] + period_ms * 1000)
+        series = unify_rates(log, period_ms)
+        assert series.t_us.tolist() == edges
+        assembler = FeatureAssembler(t[0])
+        for name in ("imu", "baro", "mag"):
+            assembler.add(name, getattr(log, name).t_us, getattr(log, name).values)
+        rows, empty = assembler.close(edges)
+        assert np.array_equal(series.features, rows)
+        assert (series.baro_carried, series.mag_carried) == (empty["baro"].sum(), empty["mag"].sum())
+        for got, values in ((series.state_pos, log.ekf.pos_ned), (series.state_vel, log.ekf.vel_ned)):
+            want = np.column_stack([np.interp(edges, t, values[:, c]) for c in range(3)])
+            assert got.tobytes() == want.tobytes()
+            i = np.searchsorted(t, edges, side="right") - 1  # the hand interpolation, to rounding
+            j = np.minimum(i + 1, len(t) - 1)
+            frac = ((edges - t[i]) / np.maximum(t[j] - t[i], 1))[:, None]
+            np.testing.assert_allclose(got, values[i] + frac * (values[j] - values[i]), rtol=1e-12, atol=1e-9)
+        assert np.array_equal(series.labels, np.diff(np.hstack([series.state_pos, series.state_vel]), axis=0))
+        if spread == 0 and period_ms == 200:  # on the grid: the estimator samples, bit for bit
+            assert np.array_equal(series.t_us, t[1:])
+            assert series.state_pos.tobytes() == log.ekf.pos_ned[1:].tobytes()
+            assert series.state_vel.tobytes() == log.ekf.vel_ned[1:].tobytes()
+
+    def test_period_defaults_to_the_median_estimator_step(self, noisy_logs):
+        log = noisy_logs[0].crop(0, 20_000_000)
+        t_us = log.ekf.t_us[::2] + np.where(np.arange(len(log.ekf.t_us[::2])) > 0, 1_400, 0)  # 400 ms steps, one 401.4
+        slow = replace(log, ekf=EkfStream(t_us, log.ekf.values[::2]))
+        series = unify_rates(slow)
+        assert set(np.diff(series.t_us)) == {400_000}
+        assert series.t_us[0] == slow.ekf.t_us[0] + 400_000
+
+    def test_on_grid_states_keep_negative_zero(self):
+        log = _constant_log()
+        values = log.ekf.values.copy()
+        values[:, 4:] = -0.0  # velocity and position
+        log = replace(log, ekf=EkfStream(log.ekf.t_us, values))
+        series = unify_rates(log)
+        assert series.state_pos.tobytes() == log.ekf.pos_ned[1:].tobytes()
+        assert series.state_vel.tobytes() == log.ekf.vel_ned[1:].tobytes()
+        assert np.signbit(series.state_vel).all()
+
+    @pytest.mark.parametrize("period_ms", [0, -200, 1_200])
+    def test_period_must_fit(self, period_ms):
+        with pytest.raises(DataError, match="at least 1 ms"):
+            unify_rates(_constant_log(), period_ms)
+
+    def test_sub_millisecond_estimator_steps_have_no_period(self):
+        log = _constant_log()
+        with pytest.raises(DataError, match="0 ms bin period"):
+            unify_rates(replace(log, ekf=EkfStream(log.ekf.t_us // 500, log.ekf.values)))
 
 
 class TestDifference:

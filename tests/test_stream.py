@@ -102,16 +102,18 @@ class TestOnlineInference:
         assert report["dropped_samples"] == 0
         assert max(report["max_abs_dev"]) == 0.0
 
-    @pytest.mark.parametrize("shift_us", [0, 90_000])
-    def test_report_names_the_grid_offset(self, small_ckpt, shift_us):
-        # estimator timestamps after the first moved off the stream's anchor + k·period grid: the offline
-        # bins end elsewhere than the stream's, and the report says by how much
+    @pytest.mark.parametrize("offsets", [lambda n: 0, lambda n: 90_000,
+                                         lambda n: np.random.default_rng(22).integers(-40_000, 40_001, n)],
+                             ids=["0", "90000", "jitter40ms"])
+    def test_off_grid_estimator_times_match_offline(self, small_ckpt, offsets):
+        # estimator timestamps after the first moved off the stream's anchor + k·period grid: the
+        # offline reference bins on that grid too, so the zero-jitter stream gives its bits
         log, ckpt = small_ckpt["val_log"], small_ckpt["ckpt"]
-        ekf_t = log.ekf.t_us + np.where(np.arange(len(log.ekf)) > 0, shift_us, 0)
-        log = replace(log, ekf=EkfStream(ekf_t, log.ekf.values))
+        log = _moved_estimator(log, offsets(len(log.ekf)))
         report = compare_online_offline(log, ckpt, run_stream(log, ckpt, StreamConfig()))
-        assert report["grid_offset_us"] == shift_us
-        assert report["bitwise_equal"] is (shift_us == 0)
+        assert report["bitwise_equal"]
+        assert max(report["max_abs_dev"]) == 0.0
+        assert report["n_compared"] == report["n_offline"] > 300
 
     def test_jitter_deviation_bounded_and_deterministic(self, small_ckpt):
         cfg = StreamConfig(jitter_ms=1.0, replay_speed=0.0, seed=5)
@@ -271,9 +273,13 @@ class TestOnlineInference:
 
     def test_period_from_checkpoint(self, small_ckpt):
         ckpt = small_ckpt["ckpt"]
-        meta = {**ckpt.meta, "period_ms": 100}
-        preds = run_stream(small_ckpt["val_log"], Checkpoint(ckpt.params, ckpt.config, meta), StreamConfig())
+        ckpt = Checkpoint(ckpt.params, ckpt.config, {**ckpt.meta, "period_ms": 100})
+        preds = run_stream(small_ckpt["val_log"], ckpt, StreamConfig())
         assert set(np.diff([p.t_us for p in preds])) == {100 * 1000}
+        # the offline reference bins the 200 ms estimator log at the checkpoint's 100 ms too
+        report = compare_online_offline(small_ckpt["val_log"], ckpt, preds)
+        assert report["bitwise_equal"]
+        assert report["n_compared"] == report["n_offline"] > 600
 
     def test_jitter_below_half_a_period_keeps_edges_increasing(self, small_ckpt):
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(jitter_ms=99.0))
@@ -289,6 +295,12 @@ class TestOnlineInference:
         preds = run_stream(small_ckpt["val_log"], small_ckpt["ckpt"], StreamConfig(replay_speed=0.0))
         assert all(p.latency_ms >= 0.0 for p in preds)
         assert all(np.all(np.isfinite(p.increment)) for p in preds)
+
+
+def _moved_estimator(log: FlightLog, offsets_us) -> FlightLog:
+    """The log with its estimator timestamps after the first moved by offsets_us."""
+    ekf_t = log.ekf.t_us + np.where(np.arange(len(log.ekf)) > 0, offsets_us, 0)
+    return replace(log, ekf=EkfStream(ekf_t, log.ekf.values))
 
 
 def _arrival_pattern(draw):
@@ -354,16 +366,21 @@ class TestBinningPaths:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_array_queue_and_whole_log_agree(self, data):
-        # the closed loop's arrays, the wall-clock queues in chunks cut
-        # anywhere, and offline unify_rates give the same rows bit for bit
+        # on irregular edges, the closed loop's arrays and the wall-clock queues in chunks
+        # cut anywhere give the rows of one assembler fed the whole log, bit for bit
         log, streams = _arrival_pattern(data.draw)
-        series = unify_rates(log)
-        from_arrays = _rows({name: _ArrayReader(getattr(log, name)) for name in SENSORS}, log.ekf.t_us)
-        from_queues = _rows({name: _chunked_queue(data.draw, name, *streams[name]) for name in SENSORS}, log.ekf.t_us)
+        edges = log.ekf.t_us
+        whole = FeatureAssembler(edges[0])
+        for name in SENSORS:
+            whole.add(name, *streams[name])
+        features_ref, empty_ref = whole.close(edges[1:])
+        from_arrays = _rows({name: _ArrayReader(getattr(log, name)) for name in SENSORS}, edges)
+        from_queues = _rows({name: _chunked_queue(data.draw, name, *streams[name]) for name in SENSORS}, edges)
         for features, empty in (from_arrays, from_queues):
-            assert np.array_equal(features, series.features)
+            assert np.array_equal(features, features_ref)
             assert not any(empty["imu"])
-            assert (sum(empty["baro"]), sum(empty["mag"])) == (series.baro_carried, series.mag_carried)
+            for name in SENSORS:
+                assert np.array_equal(empty[name], empty_ref[name])
 
 
 class TestOfflineParity:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestFit:
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=8, input_size=11)
         with pytest.raises(ConfigError, match="validation set"):
             fit(_toy_dataset(rng), val, TrainConfig(epochs=1), init_params(cfg, seed=0))
+
+
+    @pytest.mark.parametrize("field", ["window_size", "normalization", "period_ms"])
+    def test_validation_set_must_match(self, rng, field):
+        ds = _toy_dataset(rng)
+        val = {
+            "window_size": lambda: _toy_dataset(rng, w=5),
+            "normalization": lambda: replace(ds, normalization=Normalization(mean=np.full(11, 0.5), std=np.ones(11))),
+            "period_ms": lambda: replace(ds, period_ms=100),
+        }[field]()
+        cfg = NetworkConfig(recurrent_layers=1, hidden_size=8, input_size=11)
+        with pytest.raises(ConfigError, match=f"validation set differs from the training set in {field}"):
+            fit(ds, val, TrainConfig(epochs=1), init_params(cfg, seed=0))
 
 
 class TestTransfer:
