@@ -124,9 +124,10 @@ def cmd_preprocess(args) -> int:
         "seed": config.seed,
     }
     train_ds = preprocess.build_dataset(train_series, config.window, config.stride, norm, weights)
-    preprocess.save_windows(train_ds, out / "train_windows.bin", provenance)
     val_stride = config.stride if config.val_stride is None else config.val_stride
     val_ds = preprocess.build_dataset(val_series, config.window, val_stride, norm, weights)
+    preprocess.series_period_ms(train_series + val_series)  # one period for both, before either file is written
+    preprocess.save_windows(train_ds, out / "train_windows.bin", provenance)
     preprocess.save_windows(val_ds, out / "val_windows.bin", provenance)
     write_json(
         {

@@ -370,6 +370,20 @@ class WindowedDataset:
         return len(self.windows)
 
 
+def series_period_ms(series_list: list[UnifiedSeries]) -> int:
+    """The bin period in whole ms that every series (two rows or more) shares: unify_rates puts each row
+    one period after the last, so a series' first row step is its period. Two periods, or one below
+    1 ms, are a DataError."""
+    periods = [round(int(s.t_us[1] - s.t_us[0]) / 1000.0) for s in series_list]
+    for s, period_ms in zip(series_list, periods):
+        if period_ms != periods[0]:
+            raise DataError(f"{series_list[0].log_id} is binned at {periods[0]} ms but {s.log_id} at {period_ms} ms; "
+                            "a corpus needs one period")
+    if periods[0] < 1:
+        raise DataError(f"series rows are {periods[0]} ms apart; a period needs at least 1 ms")
+    return periods[0]
+
+
 def build_dataset(
     series_list: list[UnifiedSeries],
     window: int,
@@ -385,8 +399,7 @@ def build_dataset(
     one C-contiguous [M, window, f] float32 array. Normalization statistics
     and signal weights are computed from the given corpus when not provided,
     so compute them on the training corpus and pass them in for the
-    validation corpus. The dataset's period_ms is the median row step of the
-    corpus, rounded to whole milliseconds.
+    validation corpus. The dataset's period_ms is the corpus' `series_period_ms`.
     """
     if not series_list:
         raise DataError("empty series list")
@@ -395,9 +408,7 @@ def build_dataset(
     for s in series_list:
         if len(s.labels) < window:
             raise DataError(f"{s.log_id}: series too short: {len(s.labels)} labels < window {window}")
-    period_ms = round(float(np.median(np.concatenate([np.diff(s.t_us) for s in series_list]))) / 1000.0)
-    if period_ms < 1:
-        raise DataError(f"series rows are {period_ms} ms apart; a period needs at least 1 ms")
+    period_ms = series_period_ms(series_list)
     norm = normalization or fit_normalization(series_list)
     w = weights if weights is not None else compute_signal_weights(np.vstack([s.labels for s in series_list]))
     views, labels = [], []

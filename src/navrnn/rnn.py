@@ -3,19 +3,19 @@ weighted-MAE loss, Adam, and checkpoint serialization.
 
 The architecture is a stack of LSTM layers followed by a single linear
 layer that maps the final hidden state to the six state increments. Gate
-activations are sigmoid; the input activation is configurable (tanh
-default). Gradients are derived by hand for this fixed architecture and
-verified against finite differences in the test suite. All math runs at one
-declared precision.
+activations are sigmoid; the candidate and the output activation are tanh.
+Gradients are derived by hand for this fixed architecture and verified
+against finite differences in the test suite. All math runs at one declared
+precision.
 
 Every sigmoid is ½ + ½·tanh(z/2). An LSTM step activates its [B, 4h] gate
 block (columns i, f, g, o) with one tanh and then `*s + off` (0.5/0.5 on
-sigmoid columns, 1/0 on a tanh g; a relu g is taken before the tanh); the ½
-inside the tanh is folded into the weights once per call, which is exact.
-The block is activated in place in the input-projection buffer, which is
-the tape's `a` [w, B, 4h]; `c` (the cell state) and `h` are [w, B, h], and
-backward recomputes act(c) one step at a time and writes its gradients over
-`a` and `c`. Work arrays come from a `Buffers` set, reused batch to batch.
+the sigmoid columns, 1/0 on g); the ½ inside the tanh is folded into the
+weights once per call, which is exact. The block is activated in place in
+the input-projection buffer, which is the tape's `a` [w, B, 4h]; `c` (the
+cell state) and `h` are [w, B, h], and backward recomputes tanh(c) one step
+at a time and writes its gradients over `a` and `c`. Work arrays come from
+a `Buffers` set, reused batch to batch.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, DataError, check_fields, finite_vector
 from .flightlog import read_binary, split_payload, write_binary
 
-ACTIVATIONS = ("tanh", "relu", "sigmoid")
-
 CHECKPOINT_MAGIC = b"NAVC"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_HEAD = "<2I"  # version, length of the JSON header that follows
@@ -48,41 +46,14 @@ class NetworkConfig:
     input_size: int = 11
     output_size: int = 6
     cell: str = "lstm"  # the only cell; kept because it is a key of the NAVC header
-    input_activation: str = "tanh"
-    # the recurrent (gate) activation is fixed to sigmoid
+    input_activation: str = "tanh"  # the only candidate activation; kept because it is a key of the NAVC header
 
     def __post_init__(self):
         check_fields(self, recurrent_layers=1, hidden_size=1, input_size=1, output_size=1)
         if self.cell != "lstm":
             raise ConfigError(f"unknown cell {self.cell!r}; only 'lstm' is supported")
-        if self.input_activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.input_activation!r}")
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as ½ + ½·tanh(x/2): one tanh, no overflow, in [0, 1]."""
-    y = np.multiply(x, 0.5, out=out)
-    np.tanh(y, out=y)
-    y *= 0.5
-    y += 0.5
-    return y
-
-
-def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(x, out=out)
-    if name == "relu":
-        return np.maximum(x, 0.0, out=out)
-    return sigmoid(x, out=out)
-
-
-def _act_deriv_from_value(name: str, y: np.ndarray) -> np.ndarray:
-    """Derivative of the activation expressed through its output value."""
-    if name == "tanh":
-        return 1.0 - y * y
-    if name == "relu":
-        return (y > 0.0).astype(y.dtype)
-    return y * (1.0 - y)
+        if self.input_activation != "tanh":
+            raise ConfigError(f"unknown activation {self.input_activation!r}; only 'tanh' is supported")
 
 
 @dataclass
@@ -102,7 +73,6 @@ class DenseParams:
 class NetworkParams:
     layers: list[LayerParams]
     dense: DenseParams
-    input_activation: str = "tanh"
     cell = "lstm"  # not a field: perfbench's tracer keys network shapes on params.cell
 
     def arrays(self):
@@ -115,11 +85,8 @@ class NetworkParams:
         yield "dense.b", self.dense.b
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            layers=[LayerParams(l.wx.copy(), l.wh.copy(), l.b.copy()) for l in self.layers],
-            dense=DenseParams(self.dense.w.copy(), self.dense.b.copy()),
-            input_activation=self.input_activation,
-        )
+        layers = [LayerParams(l.wx.copy(), l.wh.copy(), l.b.copy()) for l in self.layers]
+        return NetworkParams(layers, DenseParams(self.dense.w.copy(), self.dense.b.copy()))
 
     @property
     def dtype(self):
@@ -168,7 +135,7 @@ def init_params(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkParam
         rng.uniform(-limit, limit, size=(cfg.output_size, h)).astype(dtype),
         np.zeros(cfg.output_size, dtype=dtype),
     )
-    return NetworkParams(layers=layers, dense=dense, input_activation=cfg.input_activation)
+    return NetworkParams(layers=layers, dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +177,24 @@ class Tape:
     consumed: bool = False  # set by backward
 
 
-def _gate_scale(hs: int, act_name: str, dt, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale s (½ on sigmoid columns, 1 on a tanh/relu g) and offset 1 - s of the gate block, tiled to
+def _gate_scale(hs: int, dt, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale s (½ on the sigmoid columns i, f, o, 1 on the tanh g) and offset 1 - s of the gate block, tiled to
     [rows, 4h] operands of the cell step (numpy broadcasts a [4h] row at half speed)."""
     s = np.full((rows, 4 * hs), 0.5, dtype=dt)
-    s[:, 2 * hs : 3 * hs] = 0.5 if act_name == "sigmoid" else 1.0
+    s[:, 2 * hs : 3 * hs] = 1.0
     return s, 1.0 - s
 
 
-def _cell_step(act_name: str, s, off, a, c, c_out, h_out, ig, ca):
+def _cell_step(s, off, a, c, c_out, h_out, ig, ca):
     """The LSTM step of `forward` and `Rolling`: activates the [B, 4h] pre-activations `a` (z/2 on sigmoid
-    columns) in place, then c_out = f·c + i·g, h_out = o·act(c_out); ig, ca are [B, h] scratch. Returns (h, c)."""
+    columns) in place, then c_out = f·c + i·g, h_out = o·tanh(c_out); ig, ca are [B, h] scratch. Returns (h, c)."""
     i, f, g, o = (a[:, k * ig.shape[1] : (k + 1) * ig.shape[1]] for k in range(4))
-    if act_name == "relu":
-        np.maximum(g, 0.0, out=ig)
     np.tanh(a, out=a)
     a *= s
     a += off
-    if act_name == "relu":
-        g[...] = ig
     c = np.multiply(f, c, out=c_out)
     c += np.multiply(i, g, out=ig)
-    return np.multiply(o, _act(act_name, c, out=ca), out=h_out), c
+    return np.multiply(o, np.tanh(c, out=ca), out=h_out), c
 
 
 def forward(params: NetworkParams, window: np.ndarray, buffers: Buffers | None = None):
@@ -246,13 +209,13 @@ def forward(params: NetworkParams, window: np.ndarray, buffers: Buffers | None =
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise DataError(f"window batch shape {x.shape} is not [B, w, {params.input_size}]")
     B, w, _ = x.shape
-    hs, act_name, dt = params.hidden_size, params.input_activation, params.dtype
+    hs, dt = params.hidden_size, params.dtype
     bufs = Buffers() if buffers is None else buffers
     # time-major input to each layer
     seq = bufs.take("x", (w, B, x.shape[2]), dt)  # [w, B, in]
     np.copyto(seq, np.swapaxes(x, 0, 1))
     layer_tapes: list[_LayerTape] = []
-    s, off = _gate_scale(hs, act_name, dt, B)
+    s, off = _gate_scale(hs, dt, B)
     zh, ig, ca = bufs.take("zh", (B, 4 * hs), dt), bufs.take("ig", (B, hs), dt), bufs.take("ca", (B, hs), dt)
 
     for li, layer in enumerate(params.layers):
@@ -267,7 +230,7 @@ def forward(params: NetworkParams, window: np.ndarray, buffers: Buffers | None =
             a = pre[t]
             a += b  # per step, while the step's block is in cache
             a += np.matmul(h, wh.T, out=zh)
-            h, c = _cell_step(act_name, s, off, a, c, C[t], H[t], ig, ca)
+            h, c = _cell_step(s, off, a, c, C[t], H[t], ig, ca)
         layer_tapes.append(_LayerTape(inputs=seq, h=H, a=pre, c=C))
         seq = H
 
@@ -289,7 +252,7 @@ class Rolling:
     def __init__(self, params: NetworkParams, window: int):
         hs, n_in, dt = params.hidden_size, params.input_size, params.dtype
         self.params, self.window, self.rows = params, window, 0
-        self.s, self.off = _gate_scale(hs, params.input_activation, dt, window)
+        self.s, self.off = _gate_scale(hs, dt, window)
         # per layer: the state columns [lo, hi) of its [input | h], its fused [in_l + h, 4h] weights (C-ordered:
         # GEMM ~20% faster), its full [w, 4h] bias
         self.layers = [(n_in + (li - 1) * hs if li else 0, n_in + (li + 1) * hs,
@@ -301,12 +264,12 @@ class Rolling:
         self.z, (self.ig, self.ca) = np.empty((window, 4 * hs), dt), np.empty((2, window, hs), dt)
 
     def _advance(self, x: np.ndarray, n: int | None = None) -> None:  # one step of slots [:n] on x: [in], or [n, in]
-        X, act, hs = self.state, self.params.input_activation, self.params.hidden_size
+        X, hs = self.state, self.params.hidden_size
         X[:n, : self.params.input_size] = x
         for (lo, hi, wt, b), c in zip(self.layers, self.cells):
             z = np.matmul(X[:, lo:hi], wt, out=self.z)
             z += b
-            _cell_step(act, self.s, self.off, z, c, c, X[:, hi - hs : hi], self.ig, self.ca)
+            _cell_step(self.s, self.off, z, c, c, X[:, hi - hs : hi], self.ig, self.ca)
 
     def push(self, row: np.ndarray) -> np.ndarray | None:
         """Advance every window in flight by one normalized row [input_size]; return
@@ -319,10 +282,10 @@ class Rolling:
         return None if self.rows < self.window else X[self.rows % self.window, -hs:] @ p.dense.w.T + p.dense.b
 
 
-def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = LOCKSTEP_ROWS) -> np.ndarray:
+def predict(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
     """Outputs [m, out] of windows [m, w, in], each run from a zero state: the one forward-only path.
 
-    Up to batch_size windows, the slots of one `Rolling`, take their w steps together (`_advance`), in equal
+    Up to LOCKSTEP_ROWS windows, the slots of one `Rolling`, take their w steps together (`_advance`), in equal
     blocks; the last block's spare slots read zeros. Each output is the 1-D `h @ W.T + b` of `Rolling.push`, so
     a window gives `push`'s bits. That needs BLAS to give a GEMM row the same bits at any row count of 2 or more
     (OpenBLAS does in float32, the checkpoints' dtype), so a block has 2 slots or more, and 1 at w = 1 as
@@ -333,7 +296,7 @@ def predict(params: NetworkParams, windows: np.ndarray, batch_size: int = LOCKST
         raise DataError(f"window batch shape {x.shape} is not [B, w, {params.input_size}]")
     (m, w, _), hs = x.shape, params.hidden_size
     out = np.empty((m, params.output_size), dtype=params.dtype)
-    g = 1 if w == 1 else max(-(-m // max(-(-m // batch_size), 1)), 2)  # 1 row would go to gemv
+    g = 1 if w == 1 else max(-(-m // max(-(-m // LOCKSTEP_ROWS), 1)), 2)  # 1 row would go to gemv
     block = Rolling(params, g)
     for start in range(0, m, g):
         n = min(g, m - start)
@@ -399,7 +362,7 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     params = tape.params
     dy = loss_grad(tape.y_hat, y, spec)  # [B, out]
 
-    hs, act_name, dt = params.hidden_size, params.input_activation, params.dtype
+    hs, dt = params.hidden_size, params.dtype
     gi, gf, gg, go = (slice(k * hs, (k + 1) * hs) for k in range(4))  # gate columns
     g_dense_w = dy.T @ tape.layer_tapes[-1].h[-1]
     g_dense_b = dy.sum(axis=0)
@@ -410,7 +373,7 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
     w, B, _ = tape.layer_tapes[0].h.shape
     bufs = tape.buffers
     up, sg = bufs.take("up_sg", (2, B, 4 * hs), dt)  # upstream gradient of each gate; σ' of the block
-    ca, dh, dc = step = bufs.take("step", (3, B, hs), dt)  # act(c); gradients w.r.t. h and c
+    ca, dh, dc = step = bufs.take("step", (3, B, hs), dt)  # tanh(c); gradients w.r.t. h and c
 
     for li in range(len(params.layers) - 1, -1, -1):
         layer, lt = params.layers[li], tape.layer_tapes[li]
@@ -422,18 +385,17 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
             elif t == w - 1:
                 dh += d_ext_final
             a = A[t]
-            _act(act_name, C[t], out=ca)
-            dc += _act_deriv_from_value(act_name, ca) * a[:, go] * dh
+            np.tanh(C[t], out=ca)
+            dc += (1.0 - ca * ca) * a[:, go] * dh
             np.multiply(dc, a[:, gg], out=up[:, gi])
             np.multiply(dc, C[t - 1] if t > 0 else 0.0, out=up[:, gf])
             np.multiply(dc, a[:, gi], out=up[:, gg])
             np.multiply(dh, ca, out=up[:, go])
             dc *= a[:, gf]
-            # σ' = a(1 - a) on the whole block, then the candidate's own derivative
+            # σ' = a(1 - a) on the whole block, then tanh' = 1 - g² on the candidate
             np.subtract(1.0, a, out=sg)
             sg *= a
-            if act_name != "sigmoid":
-                sg[:, gg] = _act_deriv_from_value(act_name, a[:, gg])
+            sg[:, gg] = 1.0 - a[:, gg] * a[:, gg]
             np.multiply(sg, up, out=a)  # step t's gate gradient replaces its gates, read for the last time
             np.matmul(a, layer.wh, out=dh)
         flat_dgx = A.reshape(w * B, -1)
@@ -445,11 +407,7 @@ def backward(tape: Tape, y: np.ndarray, spec: LossSpec) -> NetworkParams:
         if li > 0:  # gradient w.r.t. this layer's input sequence feeds the layer below; C is dead now
             d_ext = np.matmul(flat_dgx, layer.wx, out=C.reshape(w * B, hs)).reshape(w, B, hs)
 
-    return NetworkParams(
-        layers=grads_layers,
-        dense=DenseParams(g_dense_w.astype(params.dtype), g_dense_b.astype(params.dtype)),
-        input_activation=params.input_activation,
-    )
+    return NetworkParams(grads_layers, DenseParams(g_dense_w.astype(dt), g_dense_b.astype(dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +513,13 @@ def save_checkpoint(params: NetworkParams, cfg: NetworkConfig, meta: dict, path:
     """Serialize params + config + meta; raise CheckpointError, writing
     nothing, for what `load_checkpoint` would refuse.
 
-    Params must have cfg's array layout and activation, and meta must carry
+    Params must have cfg's array layout, and meta must carry
     what inference reads (the window, the bin period, the feature normalization
     and the loss weights, see `_check_meta`), so inference is self-contained.
     Arrays are stored as little-endian float32 (the training precision), so the
     round trip is bit exact for float32 parameters.
     """
     arrays = _check_arrays([{"name": n, "shape": list(a.shape)} for n, a in params.arrays()], cfg, path)
-    if params.input_activation != cfg.input_activation:  # load builds the params with cfg's
-        raise CheckpointError(f"{path}: params use {params.input_activation}, the config {cfg.input_activation}")
     _check_meta(meta, cfg, path)
     blob = json.dumps({"config": asdict(cfg), "meta": meta, "arrays": arrays}, sort_keys=True).encode("utf-8")
     head = struct.pack(CHECKPOINT_HEAD, CHECKPOINT_VERSION, len(blob)) + blob
@@ -593,9 +549,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     _check_arrays(header.get("arrays", []), cfg, path)
     arrays = split_payload(path, rest[blob_len:], checkpoint_layout(cfg), CheckpointError)
     n = cfg.recurrent_layers
-    params = NetworkParams(
-        layers=[LayerParams(arrays[f"layer{i}.wx"], arrays[f"layer{i}.wh"], arrays[f"layer{i}.b"]) for i in range(n)],
-        dense=DenseParams(arrays["dense.w"], arrays["dense.b"]),
-        input_activation=cfg.input_activation,
-    )
-    return Checkpoint(params=params, config=cfg, meta=meta)
+    layers = [LayerParams(arrays[f"layer{i}.wx"], arrays[f"layer{i}.wh"], arrays[f"layer{i}.b"]) for i in range(n)]
+    return Checkpoint(NetworkParams(layers, DenseParams(arrays["dense.w"], arrays["dense.b"])), cfg, meta)

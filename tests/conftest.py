@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from navrnn.flightlog import EkfStream
 from navrnn.preprocess import build_dataset, unify_rates
 from navrnn.rnn import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from navrnn.synth import NoiseConfig, SynthConfig, generate_flight
@@ -16,6 +19,19 @@ def noisy_logs():
         generate_flight(SynthConfig(duration_s=70.0, profile=p, seed=10 + i, noise=noise))
         for i, p in enumerate(profiles)
     ]
+
+
+@pytest.fixture(scope="session")
+def mixed_rate_logs():
+    """Three 90 s circles whose estimators tick at 5, 5 and 10 Hz: the third's is given midpoints."""
+    logs = [generate_flight(SynthConfig(duration_s=90.0, profile="circle", seed=40 + i)) for i in range(3)]
+    t, v = logs[2].ekf.t_us, logs[2].ekf.values
+    t_mid, v_mid = np.empty(2 * len(t) - 1, dtype=np.int64), np.empty((2 * len(t) - 1, v.shape[1]))
+    t_mid[0::2], t_mid[1::2] = t, (t[:-1] + t[1:]) // 2
+    v_mid[0::2], v_mid[1::2] = v, (v[:-1] + v[1:]) / 2
+    v_mid[:, :4] /= np.linalg.norm(v_mid[:, :4], axis=1, keepdims=True)  # unit quaternions
+    logs[2] = replace(logs[2], ekf=EkfStream(t_mid, v_mid))
+    return logs
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,9 @@ from navrnn import cli, stream
 from navrnn.cli import main
 from navrnn.errors import ValidationError, from_json
 from navrnn.flightlog import EkfStream, read_flight_log, write_flight_log
-from navrnn.preprocess import Normalization, clean_log, load_windows, save_windows
+from navrnn.preprocess import Normalization, clean_log, load_windows, save_windows, split_dataset
 from navrnn.rnn import NetworkConfig
-from navrnn.synth import SynthConfig
+from navrnn.synth import DatasetManifest, LogEntry, SynthConfig
 
 
 def _write_config(path: Path, payload: dict) -> str:
@@ -95,6 +95,27 @@ def test_preprocess_outputs(tiny_pipeline):
     split = json.loads((pre / "split.json").read_text())
     assert set(split["train"]) | set(split["val"]) <= {e["id"] for e in json.loads((tiny_pipeline / "data" / "dataset.json").read_text())["logs"]}
     assert not set(split["train"]) & set(split["val"])
+
+
+@pytest.mark.parametrize("fast_in", ["train", "val"])
+def test_preprocess_refuses_mixed_periods(mixed_rate_logs, tmp_path, capsys, fast_in):
+    # the 10 Hz log among the training logs, or the only validation log: exit 2 with no windows file either way
+    entries = [LogEntry(log.log_id, log.log_id, 90.0, "circle") for log in mixed_rate_logs]
+    for log in mixed_rate_logs:
+        write_flight_log(log, tmp_path / "data" / log.log_id)
+    manifest = DatasetManifest(root=tmp_path / "data", logs=entries)
+    _, (val,) = split_dataset(manifest, 0.34, 0)  # the split picks places in the list, whichever logs are there
+    at = next(i for i, e in enumerate(entries) if (e is val) == (fast_in == "val"))
+    entries[2], entries[at] = entries[at], entries[2]  # the 10 Hz log goes to that place
+    manifest.save()
+    cfg = _write_config(tmp_path / "pre.json", {"dataset": str(tmp_path / "data"), "window": 20,
+                                                "val_fraction": 0.34, "seed": 0, "min_duration_s": 30.0})
+    capsys.readouterr()
+    assert main(["preprocess", "--config", cfg, "--out", str(tmp_path / "pre")]) == 2
+    err = capsys.readouterr().err
+    assert "a corpus needs one period" in err and mixed_rate_logs[2].log_id in err
+    assert json.loads((tmp_path / "pre" / "cleanup_report.json").read_text())["accepted_count"] == 3
+    assert not list((tmp_path / "pre").glob("*_windows.*"))
 
 
 def test_train_outputs(tiny_pipeline):
@@ -425,6 +446,8 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("synth", lambda root: {"flights": [{"home_lat_deg": -1e300}]}),
         ("synth", lambda root: {"flights": [{"ground_drift_mps": -1.0}]}),
         ("train", lambda root: _train_inputs(root, train={"early_stop_patience": -1})),
+        ("train", lambda root: _train_inputs(root, network={"input_activation": "relu"})),
+        ("train", lambda root: _train_inputs(root, network={"input_activation": "sigmoid"})),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -470,6 +493,8 @@ def _stream_inputs(root: Path, **fields) -> dict:
         "synth_huge_home_lat",
         "synth_negative_ground_drift",
         "train_negative_early_stop_patience",
+        "train_relu_activation",
+        "train_sigmoid_activation",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):

@@ -596,6 +596,17 @@ class TestWindows:
         back = load_windows(tmp_path / "b.bin")
         assert (back.period_ms, back.stride, back.source_logs) == (100, 3, ds.source_logs)
 
+    def test_series_of_different_periods_refused(self, mixed_rate_logs):
+        series = [unify_rates(log) for log in mixed_rate_logs]
+        assert [int(s.t_us[1] - s.t_us[0]) for s in series] == [200_000, 200_000, 100_000]
+        assert build_dataset(series[:2], window=25).period_ms == 200
+        assert build_dataset(series[2:], window=25).period_ms == 100
+        ids = [s.log_id for s in series]
+        with pytest.raises(DataError, match=f"{ids[0]} is binned at 200 ms but {ids[2]} at 100 ms"):
+            build_dataset(series, window=25)
+        with pytest.raises(DataError, match=f"{ids[2]} is binned at 100 ms but {ids[1]} at 200 ms"):
+            build_dataset(series[::-1], window=25)
+
     def test_sub_millisecond_rows_have_no_period(self, noisy_logs):
         series = unify_rates(noisy_logs[0])
         with pytest.raises(DataError, match="at least 1 ms"):
