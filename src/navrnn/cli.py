@@ -6,7 +6,8 @@ stream. Each command declares its config once, as a dataclass whose fields
 are the file's keys (`SynthCommand`, `PreprocessCommand`, `TrainCommand`,
 `EvalCommand`, `StreamCommand`); `errors.from_json` builds it and every
 nested config, and `errors.check_fields` checks each field against its
-declared type. --seed replaces the declared seed field it overrides. Exit
+declared type. --seed (synth, preprocess, train and stream) replaces the
+declared seed field it overrides; eval takes --baseline instead. Exit
 codes: 0 ok, 1 configuration error, 2 data error, 3 runtime failure.
 NAV_LOG_LEVEL (a logging level name) controls verbosity.
 """
@@ -45,9 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _load(cls, args, **defaults):
+def _load(cls, path, **defaults):
     """The command's config from the --config file, built by from_json."""
-    return from_json(cls, read_json_object(args.config, ConfigError), "config", **defaults)
+    return from_json(cls, read_json_object(path, ConfigError), "config", **defaults)
 
 
 @dataclass
@@ -67,7 +68,7 @@ class SynthCommand:
 
 
 def cmd_synth(args) -> int:
-    config = _load(SynthCommand, args, base_seed=args.seed)
+    config = _load(SynthCommand, args.config, base_seed=args.seed)
     out = Path(args.out)
     manifest = synth.make_dataset(config.flights + (config.batch.flights() if config.batch else []), out)
     log.info("wrote %d logs under %s", len(manifest.logs), out)
@@ -79,18 +80,17 @@ def cmd_synth(args) -> int:
 class PreprocessCommand(preprocess.Cleanup):
     dataset: str
     window: int = 200
-    stride: int = 1
-    val_stride: int | None = None  # None: stride
+    stride: int = 1  # of the training and the validation windows
     val_fraction: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        check_fields(self, window=1, stride=1, val_stride=1, seed=0)
+        check_fields(self, window=1, stride=1, seed=0)
 
 
 def cmd_preprocess(args) -> int:
-    config = _load(PreprocessCommand, args)
+    config = _load(PreprocessCommand, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     out = Path(args.out)
@@ -124,8 +124,7 @@ def cmd_preprocess(args) -> int:
         "seed": config.seed,
     }
     train_ds = preprocess.build_dataset(train_series, config.window, config.stride, norm, weights)
-    val_stride = config.stride if config.val_stride is None else config.val_stride
-    val_ds = preprocess.build_dataset(val_series, config.window, val_stride, norm, weights)
+    val_ds = preprocess.build_dataset(val_series, config.window, config.stride, norm, weights)
     preprocess.series_period_ms(train_series + val_series)  # one period for both, before either file is written
     preprocess.save_windows(train_ds, out / "train_windows.bin", provenance)
     preprocess.save_windows(val_ds, out / "val_windows.bin", provenance)
@@ -148,7 +147,9 @@ def cmd_preprocess(args) -> int:
 class TrainCommand:
     train_windows: str
     val_windows: str = ""  # "": no validation set
-    network: dict = field(default_factory=dict)  # NetworkConfig keys; the sizes default to the dataset's
+    # NetworkConfig keys; the sizes default to the dataset's. With transfer_from the network is the
+    # source checkpoint's, and a key given here must hold the source's value.
+    network: dict = field(default_factory=dict)
     train: train.TrainConfig = field(default_factory=train.TrainConfig)
     init_seed: int = 0  # defaults to --seed when given
     transfer_from: str = ""  # a source checkpoint to warm-start from
@@ -160,23 +161,24 @@ class TrainCommand:
 
 
 def cmd_train(args) -> int:
-    config = _load(TrainCommand, args, init_seed=args.seed)
+    config = _load(TrainCommand, args.config, init_seed=args.seed)
     if args.seed is not None:
         config = replace(config, train=replace(config.train, shuffle_seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_ds = preprocess.load_windows(config.train_windows)
     val_ds = preprocess.load_windows(config.val_windows) if config.val_windows else None
-    sizes = {"input_size": train_ds.windows.shape[2], "output_size": train_ds.labels.shape[1]}
-    net_cfg = from_json(rnn.NetworkConfig, config.network, "network", **sizes)
 
     if config.transfer_from:
         source = rnn.load_checkpoint(config.transfer_from)
-        params, report = train.fit(train_ds, val_ds, config.train, source.params, warm_start=True)
-        net_cfg = source.config
+        net_cfg, init = source.config, source.params
+        if differ := [key for key, value in config.network.items() if getattr(net_cfg, key) != value]:
+            raise ConfigError(f"network {', '.join(differ)} differs from the transfer source's")
     else:
+        sizes = {"input_size": train_ds.windows.shape[2], "output_size": train_ds.labels.shape[1]}
+        net_cfg = from_json(rnn.NetworkConfig, config.network, "network", **sizes)
         init = rnn.init_params(net_cfg, seed=config.init_seed)
-        params, report = train.fit(train_ds, val_ds, config.train, init)
+    params, report = train.fit(train_ds, val_ds, config.train, init, warm_start=bool(config.transfer_from))
 
     meta = {
         "window": train_ds.window_size,
@@ -202,7 +204,6 @@ class EvalCommand(preprocess.Cleanup):
     dataset: str
     logs: list | None = None  # log ids; None or []: the split's 'val' list, else every log
     split: str = ""  # a preprocess split.json
-    baseline: bool = False  # as --baseline: also dead-reckon every flight
     deadreckon: deadreckon.DeadReckonConfig = field(default_factory=deadreckon.DeadReckonConfig)
 
     def __post_init__(self):
@@ -211,7 +212,7 @@ class EvalCommand(preprocess.Cleanup):
 
 
 def cmd_eval(args) -> int:
-    config = _load(EvalCommand, args)
+    config = _load(EvalCommand, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = rnn.load_checkpoint(config.checkpoint)
@@ -226,12 +227,10 @@ def cmd_eval(args) -> int:
     if not entries:
         raise DataError("no logs selected for evaluation")
 
-    run_baseline = args.baseline or config.baseline
-
     metrics_dir = out / "metrics"
     metrics_dir.mkdir(exist_ok=True)
     all_metrics = []
-    baseline_metrics = [] if run_baseline else None
+    baseline_metrics = [] if args.baseline else None
     for entry in entries:
         t0 = time.perf_counter()
         verdict = preprocess.clean_log(manifest.log_path(entry), entry.log_id, config)
@@ -242,23 +241,23 @@ def cmd_eval(args) -> int:
         m.save(metrics_dir / f"{entry.log_id}.json")
         m.write_path_compare(out / f"path_compare_{entry.log_id}.csv")
         all_metrics.append(m)
-        if run_baseline:
+        if args.baseline:
             baseline_metrics.append(
                 evaluate.baseline_flight_metrics(verdict.trimmed, series, ckpt.meta["window"], config.deadreckon)
             )
-        dr = f", dead reckoning MPE {baseline_metrics[-1].mpe_m:.3f} m" if run_baseline else ""
+        dr = f", dead reckoning MPE {baseline_metrics[-1].mpe_m:.3f} m" if args.baseline else ""
         log.info("eval %s: MPE %.3f m%s, %.2f s", entry.log_id, m.mpe_m, dr, time.perf_counter() - t0)
     if not all_metrics:
         raise DataError("every selected log was rejected by cleanup")
 
     evaluate.write_summary_csv(all_metrics, out / "summary.csv", baseline_metrics)
     summary = {"nn": evaluate.aggregate_metrics(all_metrics)}
-    if run_baseline:
+    if args.baseline:
         summary["deadreckon"] = evaluate.aggregate_metrics(baseline_metrics)
     write_json(summary, out / "summary.json")
     med = summary["nn"]["mpe_m"]["median"]
     line = f"eval: {len(all_metrics)} flights, median MPE {med:.3f} m"
-    if run_baseline:
+    if args.baseline:
         line += f" (dead reckoning {summary['deadreckon']['mpe_m']['median']:.3f} m)"
     print(line + f" -> {out}")
     return EXIT_OK
@@ -276,7 +275,7 @@ class StreamCommand:
 
 
 def cmd_stream(args) -> int:
-    config = _load(StreamCommand, args)
+    config = _load(StreamCommand, args.config)
     if args.seed is not None:
         config = replace(config, stream=replace(config.stream, seed=args.seed))
     out = Path(args.out)
@@ -301,20 +300,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="navrnn", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, func):
+    for name, help_text, func in (
+        ("synth", "generate a synthetic dataset from a profile spec", cmd_synth),
+        ("preprocess", "clean, unify, window, and split a dataset", cmd_preprocess),
+        ("train", "fit or transfer-fit a network on windowed data", cmd_train),
+        ("eval", "per-flight metrics and aggregate summary", cmd_eval),
+        ("stream", "replay a flight through the real-time harness", cmd_stream),
+    ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if func is cmd_eval:
+            p.add_argument("--baseline", action="store_true", help="also dead-reckon every flight")
+        else:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.set_defaults(func=func)
-        return p
-
-    add("synth", "generate a synthetic dataset from a profile spec", cmd_synth)
-    add("preprocess", "clean, unify, window, and split a dataset", cmd_preprocess)
-    add("train", "fit or transfer-fit a network on windowed data", cmd_train)
-    p_eval = add("eval", "per-flight metrics and aggregate summary", cmd_eval)
-    p_eval.add_argument("--baseline", action="store_true", help="also dead-reckon every flight")
-    add("stream", "replay a flight through the real-time harness", cmd_stream)
     return parser
 
 

@@ -78,8 +78,8 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t_us)
 
-    def sample_at(self, t_query_us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Linear interpolation of vel/pos (nlerp for quat) at given times."""
+    def sample_at(self, t_query_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(vel, pos) linearly interpolated at the given times."""
         t_query_us = np.asarray(t_query_us, dtype=np.int64)
         t = self.t_us.astype(np.float64)
         tq = np.clip(t_query_us.astype(np.float64), t[0], t[-1])
@@ -88,8 +88,7 @@ class Trajectory:
         alpha = np.where(denom > 0, (tq - t[idx]) / np.where(denom > 0, denom, 1.0), 0.0)
         vel = self.vel_ned[idx] + alpha[:, None] * (self.vel_ned[idx + 1] - self.vel_ned[idx])
         pos = self.pos_ned[idx] + alpha[:, None] * (self.pos_ned[idx + 1] - self.pos_ned[idx])
-        q = quat.nlerp(self.quat[idx], self.quat[idx + 1], alpha)
-        return q, vel, pos
+        return vel, pos
 
 
 def dead_reckon(log: FlightLog, cfg: DeadReckonConfig | None = None, init: NavState | None = None) -> Trajectory:

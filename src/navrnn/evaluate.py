@@ -73,7 +73,6 @@ class FlightMetrics:
     duration_min: float
     distance_m: float
     pos_error_m: np.ndarray = field(repr=False)
-    vel_error_mps: np.ndarray = field(repr=False)
     t_us: np.ndarray = field(repr=False)
     true_pos: np.ndarray = field(repr=False)
     pred_pos: np.ndarray = field(repr=False)
@@ -114,7 +113,6 @@ def _metrics_from_series(
         duration_min=duration_min,
         distance_m=float(np.sum(np.linalg.norm(np.diff(true_pos, axis=0), axis=1))),
         pos_error_m=np.linalg.norm(pred_pos - true_pos, axis=1),
-        vel_error_mps=np.linalg.norm(pred_vel - true_vel, axis=1),
         t_us=t_us,
         true_pos=true_pos,
         pred_pos=pred_pos,
@@ -175,7 +173,7 @@ def baseline_flight_metrics(
         t_us=int(series.t_us[start]),
     )
     traj = dead_reckon(log, cfg or DeadReckonConfig(), init=init)
-    _, vel, pos = traj.sample_at(series.t_us[start:])
+    vel, pos = traj.sample_at(series.t_us[start:])
     return _metrics_from_series(log.log_id + "/deadreckon", series, start, pos, vel)
 
 

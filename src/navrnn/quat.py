@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
 def multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product q1 * q2 (apply q2's rotation first, then q1's)."""
     q1 = np.asarray(q1, dtype=float)
@@ -86,14 +81,3 @@ def from_euler_zyx(roll: np.ndarray, pitch: np.ndarray, yaw: np.ndarray) -> np.n
         ],
         axis=-1,
     )
-
-
-def nlerp(q0: np.ndarray, q1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Normalized linear interpolation; adequate for closely spaced samples."""
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    # stay on the shorter arc
-    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
-    q1 = np.where(dot < 0.0, -q1, q1)
-    return normalize(q0 * (1.0 - alpha) + q1 * alpha)

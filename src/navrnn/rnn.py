@@ -314,30 +314,21 @@ def predict(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossSpec:
-    kind: str = "weighted_mae"
-    weights: np.ndarray | None = None
+    """The weighted MAE: one finite positive weight per output signal (all
+    ones for the plain MAE)."""
+
+    weights: np.ndarray
 
     def __post_init__(self):
-        check_fields(self)
-        if self.kind not in ("mae", "weighted_mae"):
-            raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.weights is not None:
-            self.weights = finite_vector(self.weights, "loss weights")
-        if self.kind == "weighted_mae":
-            if self.weights is None:
-                raise ConfigError("weighted_mae requires weights")
-            if np.any(self.weights <= 0):
-                raise ConfigError("loss weights must be positive")
-
-
-def _per_signal_weights(spec: LossSpec):
-    return spec.weights if spec.kind == "weighted_mae" else 1.0
+        self.weights = finite_vector(self.weights, "loss weights")
+        if np.any(self.weights <= 0):
+            raise ConfigError("loss weights must be positive")
 
 
 def loss(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> float:
     """Per-sample loss averaged over the batch (if one is given)."""
     e = np.asarray(y_hat).astype(np.float64) - np.asarray(y).astype(np.float64)
-    per = np.sum(np.abs(e) * _per_signal_weights(spec), axis=-1) / e.shape[-1]
+    per = np.sum(np.abs(e) * spec.weights, axis=-1) / e.shape[-1]
     return float(np.mean(per))
 
 
@@ -346,7 +337,7 @@ def loss_grad(y_hat: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
     y_hat = np.asarray(y_hat)
     e = y_hat.astype(np.float64) - np.asarray(y, dtype=np.float64)
     batch = e.shape[0] if e.ndim == 2 else 1
-    d = np.sign(e) * _per_signal_weights(spec) / e.shape[-1]
+    d = np.sign(e) * spec.weights / e.shape[-1]
     return (d / batch).astype(y_hat.dtype)
 
 

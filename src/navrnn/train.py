@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError, check_fields, from_json
+from .errors import ConfigError, DataError, TrainingDivergedError, check_fields
 from .flightlog import write_json
 from .preprocess import WindowedDataset
 from .rnn import (
@@ -45,7 +45,6 @@ class TrainConfig:
     lr_schedule: tuple = DEFAULT_LR_SCHEDULE  # [start epoch, rate] pairs
     shuffle_seed: int = 0
     early_stop_patience: int = 0  # 0 disables early stopping
-    loss: LossSpec | None = None  # defaults to weighted MAE with dataset weights; a mapping builds a LossSpec
 
     def __post_init__(self):
         check_fields(self, epochs=0, batch_size=1, shuffle_seed=0, early_stop_patience=0)
@@ -58,8 +57,6 @@ class TrainConfig:
             raise ConfigError("lr_schedule must not be empty")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ConfigError("lr_schedule epochs must be strictly increasing")
-        if self.loss is not None:
-            self.loss = from_json(LossSpec, self.loss, "loss")
 
 
 def lr_at(schedule, epoch: int) -> float:
@@ -100,14 +97,6 @@ class TrainReport:
         write_json(self.to_dict(), path)
 
 
-def _resolve_loss(cfg: TrainConfig, dataset: WindowedDataset) -> LossSpec:
-    if cfg.loss is None:
-        return LossSpec(kind="weighted_mae", weights=dataset.weights.astype(np.float64))
-    if cfg.loss.weights is not None and len(cfg.loss.weights) != dataset.labels.shape[1]:
-        raise ConfigError(f"loss weights hold {len(cfg.loss.weights)} numbers for {dataset.labels.shape[1]} labels")
-    return cfg.loss
-
-
 def _dataset_loss(params: NetworkParams, dataset: WindowedDataset, spec: LossSpec) -> float:
     """Mean loss over the dataset, from `predict`: the inference the eval and the stream run."""
     return loss(predict(params, dataset.windows), dataset.labels, spec)
@@ -122,6 +111,8 @@ def fit(
 ) -> tuple[NetworkParams, TrainReport]:
     """Train with per-epoch shuffling and the piecewise-constant lr schedule.
 
+    The loss is the weighted MAE with the dataset's weights, the weights
+    every checkpoint records as its `loss_weights`.
     Window order is reshuffled every epoch from shuffle_seed; the last
     partial batch is kept (its gradient is the mean over its true size).
     With early stopping enabled the parameters from the best validation
@@ -147,7 +138,7 @@ def fit(
     if val is not None and (differ := [key for key in ("window_size", "normalization", "period_ms")
                                        if getattr(val, key) != getattr(dataset, key)]):
         raise ConfigError(f"validation set differs from the training set in {', '.join(differ)}")
-    spec = _resolve_loss(cfg, dataset)
+    spec = LossSpec(weights=dataset.weights.astype(np.float64))
     params = init.copy()
     state = AdamState.zeros_like(params)
     report = TrainReport(warm_start=warm_start)

@@ -16,6 +16,11 @@ def difference(series) -> np.ndarray:
     return series[1:] - series[:-1]
 
 
+def normalize(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
 def from_rotvec(rv: np.ndarray) -> np.ndarray:
     """Exact exponential map: rotation vector (axis * angle) to quaternion."""
     rv = np.asarray(rv, dtype=float)
@@ -37,7 +42,7 @@ def propagate_attitude(state: NavState, gyro: np.ndarray, dt: float, cfg: DeadRe
     dtheta = (np.asarray(gyro, dtype=float) - cfg.gyro_bias) * dt
     if cfg.apply_earth_rate:
         dtheta = dtheta - quat.rotate_inverse(state.quat, cfg.earth_rate_ned()) * dt
-    q_new = quat.normalize(quat.multiply(state.quat, from_rotvec(dtheta)))
+    q_new = normalize(quat.multiply(state.quat, from_rotvec(dtheta)))
     return NavState(q_new, state.vel_ned, state.pos_ned, state.t_us)
 
 

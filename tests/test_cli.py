@@ -1,4 +1,6 @@
+import argparse
 import ast
+import inspect
 import json
 import logging
 import os
@@ -22,7 +24,7 @@ from navrnn.cli import main
 from navrnn.errors import ValidationError, from_json
 from navrnn.flightlog import EkfStream, read_flight_log, write_flight_log
 from navrnn.preprocess import Normalization, clean_log, load_windows, save_windows, split_dataset
-from navrnn.rnn import NetworkConfig
+from navrnn.rnn import NetworkConfig, load_checkpoint
 from navrnn.synth import DatasetManifest, LogEntry, SynthConfig
 
 
@@ -406,8 +408,8 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("preprocess", lambda root: {"dataset": str(root / "data"), "window": "abc"}),
         ("train", lambda root: {"train_windows": str(root / "pre" / "train_windows.bin"),
                                 "train": {"lr_schedule": [[0]]}}),
-        ("eval", lambda root: {**_model_inputs(root), "baseline": True, "deadreckon": {"gyro_bias": [1, 2]}}),
-        ("eval", lambda root: {**_model_inputs(root), "baseline": True, "deadreckon": {"foo": 1}}),
+        ("eval", lambda root: {**_model_inputs(root), "deadreckon": {"gyro_bias": [1, 2]}}),
+        ("eval", lambda root: {**_model_inputs(root), "deadreckon": {"foo": 1}}),
         ("synth", lambda root: {"flights": [{"rates_hz": {"foo": 1}}]}),
         ("synth", lambda root: {"batch": {"count": 1, "profiles": []}}),
         ("stream", lambda root: {"checkpoint": str(root / "model" / "model_final.navc")}),
@@ -439,8 +441,7 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("eval", lambda root: {**_model_inputs(root), "deadreckon": {"apply_earth_rate": "x"}}),
         ("stream", lambda root: _stream_inputs(root, replay_speed=True)),
         ("preprocess", lambda root: {"dataset": str(root / "data"), "window": 50.0}),
-        ("eval", lambda root: {**_model_inputs(root), "baseline": True,
-                               "deadreckon": {"gyro_bias": [float("nan"), 0, 0]}}),
+        ("eval", lambda root: {**_model_inputs(root), "deadreckon": {"gyro_bias": [float("nan"), 0, 0]}}),
         ("train", lambda root: _train_inputs(root, train={"loss": {"weights": [float("nan")] * 6}})),
         ("synth", lambda root: {"flights": [{"vehicle_type": 3}]}),
         ("synth", lambda root: {"flights": [{"home_lat_deg": -1e300}]}),
@@ -448,6 +449,9 @@ def _stream_inputs(root: Path, **fields) -> dict:
         ("train", lambda root: _train_inputs(root, train={"early_stop_patience": -1})),
         ("train", lambda root: _train_inputs(root, network={"input_activation": "relu"})),
         ("train", lambda root: _train_inputs(root, network={"input_activation": "sigmoid"})),
+        ("train", lambda root: _train_inputs(root, train={"loss": {"weights": [1.0] * 6}})),
+        ("preprocess", lambda root: {"dataset": str(root / "data"), "val_stride": 2}),
+        ("eval", lambda root: {**_model_inputs(root), "baseline": True}),
     ],
     ids=[
         "preprocess_not_an_object",
@@ -495,6 +499,9 @@ def _stream_inputs(root: Path, **fields) -> dict:
         "train_negative_early_stop_patience",
         "train_relu_activation",
         "train_sigmoid_activation",
+        "train_loss_object",
+        "preprocess_val_stride",
+        "eval_baseline_key",
     ],
 )
 def test_bad_config_exits_one(tiny_pipeline, tmp_path, capsys, command, config):
@@ -530,17 +537,22 @@ def test_unknown_log_level_exits_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind, code", [("mae", 0), ("bogus", 1)])
-def test_train_loss_from_config(tiny_pipeline, tmp_path, kind, code):
-    cfg = _write_config(
-        tmp_path / "train.json",
-        {
-            "train_windows": str(tiny_pipeline / "pre" / "train_windows.bin"),
-            "network": {"recurrent_layers": 1, "hidden_size": 8},
-            "train": {"epochs": 1, "batch_size": 128, "loss": {"kind": kind}},
-        },
-    )
+@pytest.mark.parametrize("network, code", [({"recurrent_layers": 3, "hidden_size": 8}, 1), ({"hidden_size": 24}, 0)],
+                         ids=["differs", "matches"])
+def test_transfer_network_is_the_sources(tiny_pipeline, tmp_path, capsys, network, code):
+    # a network key that differs from the source checkpoint's is an error, not silently dropped
+    cfg = _write_config(tmp_path / "train.json", _train_inputs(
+        tiny_pipeline, transfer_from=str(tiny_pipeline / "model" / "model_final.navc"), network=network,
+        train={"epochs": 1, "batch_size": 128}))
+    capsys.readouterr()
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "config error" in err and "recurrent_layers, hidden_size" in err and "Traceback" not in err
+        assert not list((tmp_path / "model").glob("*.navc"))
+    else:
+        source, model = (load_checkpoint(p / "model" / "model_final.navc") for p in (tiny_pipeline, tmp_path))
+        assert model.config == source.config and model.meta["warm_start"] is True
 
 
 @pytest.mark.parametrize("width", ["features", "labels"])
@@ -607,8 +619,21 @@ def test_help_lists_flags(capsys):
         main(["eval", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--config", "--out", "--seed", "--baseline"):
+    for flag in ("--config", "--out", "--baseline"):
         assert flag in out
+    assert "--seed" not in out  # eval draws no random numbers
+    assert main(["eval", "--config", "eval.json", "--out", "eval", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_every_flag_is_read_by_its_command():
+    # a flag that its cmd_* never reads does nothing
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, f"navrnn {name} never reads {action.option_strings}"
 
 
 def test_only_synth_imports_scipy():
@@ -681,8 +706,8 @@ def _valid_configs(root: Path) -> dict:
         "preprocess": {"dataset": str(root / "data"), "window": 20, "stride": 2, "val_fraction": 0.25,
                        "min_duration_s": 30.0},
         "train": _train_inputs(root, network={"recurrent_layers": 1, "hidden_size": 8},
-                               train={"epochs": 1, "batch_size": 128, "loss": {"weights": [1.0] * 6}}),
-        "eval": {**_model_inputs(root), "logs": ids[:1], "min_duration_s": 30.0, "baseline": True},
+                               train={"epochs": 1, "batch_size": 128}),
+        "eval": {**_model_inputs(root), "logs": ids[:1], "min_duration_s": 30.0},
         "stream": _stream_inputs(root, jitter_ms=0.0),
     }
 

@@ -94,13 +94,13 @@ class TestDeadReckon:
     def test_circle_round_trip(self):
         log = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=3))
         traj = dead_reckon(log, DeadReckonConfig())
-        _, _, pos = traj.sample_at(log.ekf.t_us)
+        _, pos = traj.sample_at(log.ekf.t_us)
         assert np.max(np.linalg.norm(pos - log.ekf.pos_ned, axis=1)) < 0.1
 
     def test_noisy_error_grows(self):
         log = generate_flight(SynthConfig(duration_s=60.0, profile="circle", seed=3, noise=NoiseConfig.low_cost()))
         traj = dead_reckon(log, DeadReckonConfig())
-        _, _, pos = traj.sample_at(log.ekf.t_us)
+        _, pos = traj.sample_at(log.ekf.t_us)
         err = np.linalg.norm(pos - log.ekf.pos_ned, axis=1)
         assert err[-1] > 10.0
         assert err[-1] > 3.0 * err[len(err) // 2]  # superlinear growth

@@ -186,7 +186,7 @@ class TestAggregate:
 
         return FlightMetrics(
             log_id="x", mpe_m=mpe, tn_mpe_m_per_min=tn if tn is not None else mpe, mve_mps=mve,
-            duration_min=1.0, distance_m=10.0, pos_error_m=np.zeros(1), vel_error_mps=np.zeros(1),
+            duration_min=1.0, distance_m=10.0, pos_error_m=np.zeros(1),
             t_us=np.zeros(1, dtype=np.int64), true_pos=np.zeros((1, 3)), pred_pos=np.zeros((1, 3)),
             true_vel=np.zeros((1, 3)), pred_vel=np.zeros((1, 3)),
         )

@@ -51,14 +51,13 @@ def _flatten(params):
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 
 
-def _fd_max_rel_err(seed, loss_kind="weighted_mae", layers=1, hidden=8, w=5, batch=3, buffers=None):
+def _fd_max_rel_err(seed, unit_weights=False, layers=1, hidden=8, w=5, batch=3, buffers=None):
     cfg = NetworkConfig(recurrent_layers=layers, hidden_size=hidden, input_size=11, output_size=6)
     params = init_params(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1000)
     x = rng.standard_normal((batch, w, 11))
     y = rng.standard_normal((batch, 6))
-    weights = rng.uniform(0.5, 2.0, 6) if loss_kind == "weighted_mae" else None
-    spec = LossSpec(kind=loss_kind, weights=weights)
+    spec = LossSpec(weights=np.ones(6) if unit_weights else rng.uniform(0.5, 2.0, 6))
     _, tape = forward(params, x, buffers=buffers)
     g_ana = _flatten(backward(tape, y, spec))
     eps = 1e-6
@@ -327,53 +326,45 @@ class TestLockstep:
 class TestLoss:
     def test_zero_error(self):
         y = np.arange(6.0)
-        assert loss(y, y, LossSpec(kind="mae")) == 0.0
+        assert loss(y, y, LossSpec(weights=np.ones(6))) == 0.0
 
     def test_weighted_hand_oracle(self):
         y_hat = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
         y = np.zeros(6)
-        spec = LossSpec(kind="weighted_mae", weights=[1.0, 0.5, 1.0, 1.0, 1.0, 1.0])
+        spec = LossSpec(weights=[1.0, 0.5, 1.0, 1.0, 1.0, 1.0])
         assert loss(y_hat, y, spec) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_unit_weights_equal_mae(self, rng):
-        for _ in range(100):
-            y_hat = rng.standard_normal(6)
-            y = rng.standard_normal(6)
-            assert loss(y_hat, y, LossSpec(kind="weighted_mae", weights=np.ones(6))) == loss(
-                y_hat, y, LossSpec(kind="mae")
-            )
 
     def test_batch_loss_is_mean(self, rng):
         y_hat = rng.standard_normal((8, 6))
         y = rng.standard_normal((8, 6))
-        spec = LossSpec(kind="mae")
+        spec = LossSpec(weights=np.ones(6))
         per = [loss(y_hat[i], y[i], spec) for i in range(8)]
         assert loss(y_hat, y, spec) == pytest.approx(np.mean(per), rel=1e-12)
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):
-            LossSpec(kind="weighted_mae")
+            LossSpec(weights=[1, float("nan"), 1, 1, 1, 1])
         with pytest.raises(ConfigError):
-            LossSpec(kind="weighted_mae", weights=[1, -1, 1, 1, 1, 1])
+            LossSpec(weights=[1, -1, 1, 1, 1, 1])
 
 
 class TestBackward:
     def test_gradcheck_cells(self):
         assert _fd_max_rel_err(seed=0) < 1e-4
 
-    @pytest.mark.parametrize("loss_kind", ["mae"])
-    def test_gradcheck_losses(self, loss_kind):
-        assert _fd_max_rel_err(seed=1, loss_kind=loss_kind) < 1e-4
+    @pytest.mark.parametrize("unit_weights", [True], ids=["mae"])
+    def test_gradcheck_losses(self, unit_weights):
+        assert _fd_max_rel_err(seed=1, unit_weights=unit_weights) < 1e-4
 
     def test_gradcheck_two_layers(self):
-        assert _fd_max_rel_err(seed=2, loss_kind="mae", layers=2, hidden=6, w=4) < 1e-4
+        assert _fd_max_rel_err(seed=2, unit_weights=True, layers=2, hidden=6, w=4) < 1e-4
 
     def test_gradcheck_through_one_buffer_set(self):
         # criterion 1's shape (1x8, window 5, batch 3), then the two-layer check above for the
         # input gradient; every forward, taped or not, draws on the same set
         bufs = Buffers()
         errs = [_fd_max_rel_err(seed, buffers=bufs) for seed in range(3)]
-        errs.append(_fd_max_rel_err(2, "mae", layers=2, hidden=6, w=4, buffers=bufs))
+        errs.append(_fd_max_rel_err(2, True, layers=2, hidden=6, w=4, buffers=bufs))
         assert max(errs) < 1e-4
 
     def test_zero_error_zero_gradients(self):
@@ -381,7 +372,7 @@ class TestBackward:
         params = init_params(cfg, seed=0, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((2, 5, 11))
         y_hat, tape = forward(params, x)
-        grads = backward(tape, y_hat.copy(), LossSpec(kind="mae"))
+        grads = backward(tape, y_hat.copy(), LossSpec(weights=np.ones(6)))
         assert np.all(_flatten(grads) == 0.0)
 
     def test_weight_doubling_doubles_gradient(self):
@@ -394,13 +385,13 @@ class TestBackward:
         w2 = np.ones(6)
         w2[2] = 2.0
         # backward consumes its tape, so each gradient gets its own forward
-        g1 = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=w1))
-        g2 = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=w2))
+        g1 = backward(forward(params, x)[1], y, LossSpec(weights=w1))
+        g2 = backward(forward(params, x)[1], y, LossSpec(weights=w2))
         # only the dense row feeding signal 2 doubles
         np.testing.assert_allclose(g2.dense.w[2], 2.0 * g1.dense.w[2], rtol=1e-12)
         np.testing.assert_allclose(g2.dense.w[0], g1.dense.w[0], rtol=1e-12)
         # doubling every weight doubles every gradient, layers included, exactly (scaling by 2 is exact)
-        g_all = backward(forward(params, x)[1], y, LossSpec(kind="weighted_mae", weights=2.0 * w1))
+        g_all = backward(forward(params, x)[1], y, LossSpec(weights=2.0 * w1))
         for (name, g), (_, ref) in zip(g_all.arrays(), g1.arrays()):
             np.testing.assert_array_equal(g, 2.0 * ref, err_msg=name)
 
@@ -408,7 +399,7 @@ class TestBackward:
         params = init_params(NetworkConfig(recurrent_layers=2, hidden_size=8), seed=0)
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((3, 5, 11)), rng.standard_normal((3, 6))
-        spec = LossSpec(kind="mae")
+        spec = LossSpec(weights=np.ones(6))
         _, tape = forward(params, x)
         backward(tape, y, spec)
         with pytest.raises(RuntimeError, match="consumed"):

@@ -173,7 +173,7 @@ class TestOnlineInference:
         assert preds[-1].dropped_samples > 0
         # queues stayed bounded by construction; drops were counted instead
         for q in queues.values():
-            assert q._q.qsize() <= 1
+            assert q.qsize() <= 1
 
     def test_fast_wall_clock_replay_matches_offline(self, small_ckpt):
         # at 200x a bin lasts 1 ms of wall time: the consumer waits for each

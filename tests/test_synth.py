@@ -44,7 +44,7 @@ def test_different_seed_differs():
 def test_noiseless_dead_reckon_round_trip(profile):
     log = generate_flight(SynthConfig(duration_s=60.0, profile=profile, seed=3))
     traj = dead_reckon(log, DeadReckonConfig())
-    _, vel, pos = traj.sample_at(log.ekf.t_us)
+    vel, pos = traj.sample_at(log.ekf.t_us)
     assert np.max(np.linalg.norm(pos - log.ekf.pos_ned, axis=1)) < 0.1
     assert np.max(np.linalg.norm(vel - log.ekf.vel_ned, axis=1)) < 0.01
 
@@ -59,7 +59,7 @@ def test_bias_injection_drift_law():
     )
     log = generate_flight(cfg)
     traj = dead_reckon(log, DeadReckonConfig())
-    _, _, pos = traj.sample_at(log.ekf.t_us)
+    _, pos = traj.sample_at(log.ekf.t_us)
     err = np.linalg.norm(pos - log.ekf.pos_ned, axis=1)
     t = (log.ekf.t_us - log.ekf.t_us[0]) * 1e-6
     expected = 0.5 * b * t[-1] ** 2

@@ -53,8 +53,7 @@ class TestFit:
         ds = _toy_dataset(rng, m=20)
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=16)
         init = init_params(cfg, seed=0)
-        tcfg = TrainConfig(epochs=500, batch_size=20, lr_schedule=((0, 0.01),), shuffle_seed=0,
-                           loss=LossSpec(kind="mae"))
+        tcfg = TrainConfig(epochs=500, batch_size=20, lr_schedule=((0, 0.01),), shuffle_seed=0)
         params, report = fit(ds, None, tcfg, init)
         assert report.train_loss[-1] < 0.1 * report.train_loss[0]
 
@@ -109,7 +108,7 @@ class TestFit:
         # the validation loss reproduces the recorded minimum
         from navrnn.train import _dataset_loss
 
-        spec = LossSpec(kind="weighted_mae", weights=ds.weights.astype(np.float64))
+        spec = LossSpec(weights=ds.weights.astype(np.float64))
         got = _dataset_loss(params, val, spec)
         assert got == pytest.approx(report.val_loss[report.best_epoch], rel=1e-6)
 
@@ -172,10 +171,9 @@ class TestTransfer:
         source = _toy_dataset(rng, m=64)
         target_val = _toy_dataset(rng, m=32, seed_shift=0.1)
         cfg = NetworkConfig(recurrent_layers=1, hidden_size=16)
-        tcfg = TrainConfig(epochs=30, batch_size=16, lr_schedule=((0, 0.01),), shuffle_seed=0,
-                           loss=LossSpec(kind="mae"))
+        tcfg = TrainConfig(epochs=30, batch_size=16, lr_schedule=((0, 0.01),), shuffle_seed=0)
         trained, _ = fit(source, None, tcfg, init_params(cfg, seed=0))
-        spec = LossSpec(kind="mae")
+        spec = LossSpec(weights=np.ones(6))
 
         def val_loss(params):
             from navrnn.rnn import loss as loss_fn
